@@ -18,15 +18,18 @@ main()
            "Speedup over the no-FDP baseline; FDP frontend otherwise.");
 
     const auto workloads = suite(400000);
-    const SuiteResult base = runSuite("base", noFdpConfig(), workloads,
-                                      noPrefetcher());
-    const SuiteResult fdp = runSuite("fdp", paperBaselineConfig(),
-                                     workloads, noPrefetcher());
+    struct Row
+    {
+        std::size_t idx;
+        const char *name;
+        const char *note;
+    };
 
-    TextTable t({"configuration", "speedup", "MPKI", "note"});
-    t.addRow({"FDP baseline", speedupStr(fdp.speedupOver(base)),
-              TextTable::num(fdp.meanMpki()), "single-level 8K BTB"});
-
+    Campaign c(workloads);
+    const std::size_t base = c.add("base", noFdpConfig(), noPrefetcher());
+    std::vector<Row> rows;
+    rows.push_back({c.add("fdp", paperBaselineConfig(), noPrefetcher()),
+                    "FDP baseline", "single-level 8K BTB"});
     {
         // Two-level BTB: tiny fast L1 in front of the 8K main BTB,
         // paying a bubble on L2-served taken re-steers.
@@ -34,67 +37,53 @@ main()
         cfg.bpu.btbHierarchy.enabled = true;
         cfg.bpu.btbHierarchy.l1Entries = 1024;
         cfg.bpu.btbHierarchy.l2ExtraLatency = 2;
-        const SuiteResult r =
-            runSuite("2lvl", cfg, workloads, noPrefetcher());
-        t.addRow({"FDP + 2-level BTB (1K L1)",
-                  speedupStr(r.speedupOver(base)),
-                  TextTable::num(r.meanMpki()),
-                  "L2 takens pay a 2-cycle bubble"});
+        rows.push_back({c.add("2lvl", cfg, noPrefetcher()),
+                        "FDP + 2-level BTB (1K L1)",
+                        "L2 takens pay a 2-cycle bubble"});
     }
     {
         CoreConfig cfg = paperBaselineConfig();
         cfg.bpu.useLoopPredictor = true;
-        const SuiteResult r =
-            runSuite("loop", cfg, workloads, noPrefetcher());
-        t.addRow({"FDP + loop predictor",
-                  speedupStr(r.speedupOver(base)),
-                  TextTable::num(r.meanMpki()),
-                  "overrides TAGE on loop exits"});
+        rows.push_back({c.add("loop", cfg, noPrefetcher()),
+                        "FDP + loop predictor",
+                        "overrides TAGE on loop exits"});
     }
     {
         CoreConfig cfg = paperBaselineConfig();
         cfg.bpu.direction = DirectionPredictorKind::kPerceptron;
-        const SuiteResult r =
-            runSuite("perceptron", cfg, workloads, noPrefetcher());
-        t.addRow({"FDP + perceptron (instead of TAGE)",
-                  speedupStr(r.speedupOver(base)),
-                  TextTable::num(r.meanMpki()),
-                  "academic baseline [22]"});
+        rows.push_back({c.add("perceptron", cfg, noPrefetcher()),
+                        "FDP + perceptron (instead of TAGE)",
+                        "academic baseline [22]"});
     }
-    {
-        const SuiteResult r = runSuite("rdip", noFdpConfig(), workloads,
-                                       prefetcher("rdip"));
-        t.addRow({"RDIP (no FDP)", speedupStr(r.speedupOver(base)),
-                  TextTable::num(r.meanMpki()),
-                  "MICRO'13 RAS-directed prefetch"});
-    }
-    {
-        const SuiteResult r = runSuite(
-            "rdip+fdp", paperBaselineConfig(), workloads,
-            prefetcher("rdip"));
-        t.addRow({"FDP + RDIP", speedupStr(r.speedupOver(base)),
-                  TextTable::num(r.meanMpki()), "-"});
-    }
+    rows.push_back({c.add("rdip", noFdpConfig(), namedPrefetcher("rdip"),
+                          "rdip"),
+                    "RDIP (no FDP)", "MICRO'13 RAS-directed prefetch"});
+    rows.push_back({c.add("rdip+fdp", paperBaselineConfig(),
+                          namedPrefetcher("rdip"), "rdip"),
+                    "FDP + RDIP", "-"});
     {
         // Original-FDP prefetch buffer: prefetches land in a 32-line
         // side buffer instead of the L1I (pollution isolation).
-        CoreConfig direct = noFdpConfig();
         CoreConfig buffered = noFdpConfig();
         buffered.usePrefetchBuffer = true;
-        const SuiteResult rd = runSuite("eip-direct", direct, workloads,
-                                        prefetcher("eip-27"));
-        const SuiteResult rb = runSuite("eip-buffered", buffered,
-                                        workloads, prefetcher("eip-27"));
-        t.addRow({"EIP-27 -> L1I (no FDP)",
-                  speedupStr(rd.speedupOver(base)),
-                  TextTable::num(rd.meanMpki()),
-                  "prefetch fills pollute L1I"});
-        t.addRow({"EIP-27 -> prefetch buffer (no FDP)",
-                  speedupStr(rb.speedupOver(base)),
-                  TextTable::num(rb.meanMpki()),
-                  "original FDP [8] side buffer"});
+        rows.push_back({c.add("eip-direct", noFdpConfig(),
+                              namedPrefetcher("eip-27"), "eip-27"),
+                        "EIP-27 -> L1I (no FDP)",
+                        "prefetch fills pollute L1I"});
+        rows.push_back({c.add("eip-buffered", buffered,
+                              namedPrefetcher("eip-27"), "eip-27"),
+                        "EIP-27 -> prefetch buffer (no FDP)",
+                        "original FDP [8] side buffer"});
     }
 
+    const auto results = runTimed(c, "ablation_extensions");
+
+    TextTable t({"configuration", "speedup", "MPKI", "note"});
+    for (const Row &row : rows) {
+        const SuiteResult &r = results[row.idx];
+        t.addRow({row.name, speedupStr(r.speedupOver(results[base])),
+                  TextTable::num(r.meanMpki()), row.note});
+    }
     t.print();
     return 0;
 }

@@ -12,6 +12,8 @@
 
 #include "bench/bench_common.h"
 
+#include <iterator>
+
 namespace fdip
 {
 namespace
@@ -40,8 +42,6 @@ main()
            "Speedup over the no-FDP, no-prefetch baseline.");
 
     const auto workloads = suite(600000);
-    const SuiteResult base = runSuite("baseline", perfectBpConfig(false),
-                                      workloads, noPrefetcher());
 
     struct Row
     {
@@ -58,34 +58,40 @@ main()
         {"Perfect", "perfect", "30.6%", "~31%"},
     };
 
-    TextTable t({"prefetcher", "no FDP", "with FDP", "paper no-FDP",
-                 "paper FDP"});
-
+    Campaign c(workloads);
+    const std::size_t base =
+        c.add("baseline", perfectBpConfig(false), noPrefetcher());
     // FDP alone (the paper's "simplistic FDP with 192-inst FTQ").
-    const SuiteResult fdp_alone = runSuite(
-        "fdp", perfectBpConfig(true), workloads, noPrefetcher());
-    t.addRow({"FDP alone", "-", speedupStr(fdp_alone.speedupOver(base)),
-              "-", "30.2%"});
-
-    for (const Row &row : rows) {
-        CoreConfig no_fdp = perfectBpConfig(false);
-        CoreConfig with_fdp = perfectBpConfig(true);
-        PrefetcherFactory factory = noPrefetcher();
-        if (std::string(row.pf) == "perfect") {
-            no_fdp.perfectPrefetch = true;
-            with_fdp.perfectPrefetch = true;
-        } else {
-            factory = prefetcher(row.pf);
+    const std::size_t fdp_alone =
+        c.add("fdp", perfectBpConfig(true), noPrefetcher());
+    // idx[row][fdp]
+    std::size_t idx[std::size(rows)][2];
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        // "Perfect" is an oracle mode of the core, not a prefetcher.
+        const bool perfect = std::string(rows[i].pf) == "perfect";
+        const char *pf = perfect ? "none" : rows[i].pf;
+        for (int fdp = 0; fdp < 2; ++fdp) {
+            CoreConfig cfg = perfectBpConfig(fdp == 1);
+            cfg.perfectPrefetch = perfect;
+            idx[i][fdp] =
+                c.add(std::string(fdp == 1 ? "FDP+" : "") + rows[i].label,
+                      cfg, namedPrefetcher(pf), pf);
         }
-        const SuiteResult r_no =
-            runSuite(row.label, no_fdp, workloads, factory);
-        const SuiteResult r_yes =
-            runSuite(row.label, with_fdp, workloads, factory);
-        t.addRow({row.label, speedupStr(r_no.speedupOver(base)),
-                  speedupStr(r_yes.speedupOver(base)), row.paperNoFdp,
-                  row.paperFdp});
     }
 
+    const auto results = runTimed(c, "fig01_limit_study");
+
+    TextTable t({"prefetcher", "no FDP", "with FDP", "paper no-FDP",
+                 "paper FDP"});
+    t.addRow({"FDP alone", "-",
+              speedupStr(results[fdp_alone].speedupOver(results[base])),
+              "-", "30.2%"});
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        t.addRow({rows[i].label,
+                  speedupStr(results[idx[i][0]].speedupOver(results[base])),
+                  speedupStr(results[idx[i][1]].speedupOver(results[base])),
+                  rows[i].paperNoFdp, rows[i].paperFdp});
+    }
     t.print();
     std::printf("\nTakeaway check: prefetchers on top of FDP should add "
                 "little over FDP alone.\n");

@@ -52,8 +52,8 @@ main()
 
     std::vector<Row> rows;
     for (const Pf &pf : pfs) {
-        rows.push_back({c.add(pf.label, noFdpConfig(), prefetcher(pf.name),
-                              pf.name),
+        rows.push_back({c.add(pf.label, noFdpConfig(),
+                              namedPrefetcher(pf.name), pf.name),
                         std::string(pf.label) + " (no FDP)", pf.paperNoFdp});
     }
     {
@@ -66,7 +66,7 @@ main()
                     "FDP alone", "+41.0%"});
     for (const Pf &pf : pfs) {
         rows.push_back({c.add(std::string("FDP+") + pf.label,
-                              paperBaselineConfig(), prefetcher(pf.name),
+                              paperBaselineConfig(), namedPrefetcher(pf.name),
                               pf.name),
                         std::string("FDP + ") + pf.label, pf.paperFdp});
     }
@@ -90,7 +90,7 @@ main()
                         "FDP + perfect BTB + perfect prefetch", "+46.9%"});
     }
 
-    const auto results = runTimed(c, workloads.size(), "fig06a_prefetchers");
+    const auto results = runTimed(c, "fig06a_prefetchers");
 
     TextTable t({"configuration", "speedup", "MPKI", "paper"});
     for (const Row &row : rows) {

@@ -21,15 +21,18 @@ main()
 
     const auto workloads = suite(600000);
 
-    const SuiteResult base_no =
-        runSuite("noFDP", noFdpConfig(), workloads, noPrefetcher());
-    const SuiteResult eip_no = runSuite("noFDP+EIP", noFdpConfig(),
-                                        workloads, prefetcher("eip-128"));
-    const SuiteResult base_fdp = runSuite(
-        "FDP", paperBaselineConfig(), workloads, noPrefetcher());
-    const SuiteResult eip_fdp =
-        runSuite("FDP+EIP", paperBaselineConfig(), workloads,
-                 prefetcher("eip-128"));
+    Campaign c(workloads);
+    c.add("noFDP", noFdpConfig(), noPrefetcher());
+    c.add("noFDP+EIP", noFdpConfig(), namedPrefetcher("eip-128"), "eip-128");
+    c.add("FDP", paperBaselineConfig(), noPrefetcher());
+    c.add("FDP+EIP", paperBaselineConfig(), namedPrefetcher("eip-128"),
+          "eip-128");
+
+    const auto results = runTimed(c, "fig06b_per_trace");
+    const SuiteResult &base_no = results[0];
+    const SuiteResult &eip_no = results[1];
+    const SuiteResult &base_fdp = results[2];
+    const SuiteResult &eip_fdp = results[3];
 
     TextTable t({"workload", "branch MPKI", "EIP gain (no FDP)",
                  "EIP gain (FDP)"});

@@ -60,7 +60,7 @@ main()
         }
     }
 
-    const auto results = runTimed(c, workloads.size(), "fig08_history");
+    const auto results = runTimed(c, "fig08_history");
 
     for (int p = 0; p < 2; ++p) {
         std::printf("\n--- PFC %s ---\n", p == 0 ? "ON" : "OFF");

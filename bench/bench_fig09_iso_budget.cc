@@ -45,10 +45,10 @@ main()
     for (const Config &cc : configs) {
         CoreConfig cfg = paperBaselineConfig();
         cfg.bpu.btb.numEntries = cc.btbEntries;
-        indices.push_back(c.add(cc.label, cfg, prefetcher(cc.pf), cc.pf));
+        indices.push_back(c.add(cc.label, cfg, namedPrefetcher(cc.pf), cc.pf));
     }
 
-    const auto results = runTimed(c, workloads.size(), "fig09_iso_budget");
+    const auto results = runTimed(c, "fig09_iso_budget");
 
     TextTable t({"configuration", "speedup", "MPKI", "starvation/KI",
                  "tag accesses/KI", "paper"});

@@ -20,11 +20,6 @@ main()
            "FDP frontend; speedup over the no-FDP baseline.");
 
     const auto workloads = suite(400000);
-    const SuiteResult base = runSuite("base", noFdpConfig(), workloads,
-                                      noPrefetcher());
-
-    TextTable t({"BTB", "history", "PFC", "SN4L+Dis", "SN4L+Dis+BTBpf",
-                 "BTBpf delta"});
 
     struct BtbSetting
     {
@@ -38,7 +33,18 @@ main()
         {"8K", 8192, false},
         {"perfect", 8192, true},
     };
+    struct Row
+    {
+        const char *btb;
+        HistoryScheme scheme;
+        bool pfc;
+        std::size_t without; ///< SN4L+Dis.
+        std::size_t with;    ///< SN4L+Dis with BTB prefetching.
+    };
 
+    Campaign c(workloads);
+    const std::size_t base = c.add("base", noFdpConfig(), noPrefetcher());
+    std::vector<Row> rows;
     for (const BtbSetting &btb : btbs) {
         for (HistoryScheme scheme :
              {HistoryScheme::kThr, HistoryScheme::kGhr3}) {
@@ -48,18 +54,32 @@ main()
                 cfg.bpu.perfectBtb = btb.perfect;
                 cfg.historyScheme = scheme;
                 cfg.pfcEnabled = pfc;
-
-                const SuiteResult without = runSuite(
-                    "snd", cfg, workloads, prefetcher("sn4l+dis"));
-                const SuiteResult with = runSuite(
-                    "sndb", cfg, workloads, prefetcher("sn4l+dis+btb"));
-                t.addRow({btb.label, historySchemeName(scheme),
-                          pfc ? "on" : "off",
-                          speedupStr(without.speedupOver(base)),
-                          speedupStr(with.speedupOver(base)),
-                          speedupStr(with.speedupOver(without))});
+                const std::string at = std::string("@") + btb.label + "/" +
+                                       historySchemeName(scheme) +
+                                       (pfc ? "/pfc" : "/nopfc");
+                rows.push_back(
+                    {btb.label, scheme, pfc,
+                     c.add("snd" + at, cfg, namedPrefetcher("sn4l+dis"),
+                           "sn4l+dis"),
+                     c.add("sndb" + at, cfg,
+                           namedPrefetcher("sn4l+dis+btb"),
+                           "sn4l+dis+btb")});
             }
         }
+    }
+
+    const auto results = runTimed(c, "fig10_btb_prefetch");
+
+    TextTable t({"BTB", "history", "PFC", "SN4L+Dis", "SN4L+Dis+BTBpf",
+                 "BTBpf delta"});
+    for (const Row &row : rows) {
+        const SuiteResult &without = results[row.without];
+        const SuiteResult &with = results[row.with];
+        t.addRow({row.btb, historySchemeName(row.scheme),
+                  row.pfc ? "on" : "off",
+                  speedupStr(without.speedupOver(results[base])),
+                  speedupStr(with.speedupOver(results[base])),
+                  speedupStr(with.speedupOver(without))});
     }
     t.print();
     std::printf("\nPaper checks: BTB prefetch +8.8%% @2K/GHR, +3.2%% "

@@ -7,12 +7,16 @@
  * partially exposed, and a 24-entry FTQ removes 90.6% of those exposed
  * misses.
  *
- * The whole FTQ sweep is one campaign, parallelized under FDIP_JOBS;
- * with FDIP_SPOOL set it drains through the content-addressed result
- * spool (resumable, dedup'd — see docs/CAMPAIGN.md).
+ * The whole FTQ sweep is one campaign — the "ftq" preset of
+ * `fdipsim --campaign`, so both share spool records — parallelized
+ * under FDIP_JOBS; with FDIP_SPOOL set it drains through the
+ * content-addressed result spool (resumable, dedup'd — see
+ * docs/CAMPAIGN.md).
  */
 
 #include "bench/bench_common.h"
+
+#include "sim/campaign_presets.h"
 
 int
 main()
@@ -24,27 +28,23 @@ main()
            "Speedup normalized to the 2-entry FTQ (no FDP).");
 
     const auto workloads = suite(500000);
-    const unsigned sizes[] = {2u, 4u, 8u, 12u, 16u, 24u, 32u};
 
+    // The "ftq" preset: first the no-FDP baseline (a 2-entry FTQ),
+    // then FDP at each larger FTQ size.
     Campaign c(workloads);
-    const std::size_t base = c.add("ftq2", noFdpConfig(), noPrefetcher());
-    std::vector<std::size_t> indices;
-    for (unsigned entries : sizes) {
-        CoreConfig cfg = paperBaselineConfig();
-        cfg.ftqEntries = entries;
-        indices.push_back(c.add("ftq-" + std::to_string(entries), cfg,
-                                noPrefetcher()));
-    }
+    for (CampaignEntry &e : buildCampaignEntries("ftq"))
+        c.add(std::move(e));
 
-    const auto results = runTimed(c, workloads.size(), "fig14_ftq_size");
+    const auto results = runTimed(c, "fig14_ftq_size");
+    const SuiteResult &base = results.front();
 
     TextTable t({"FTQ entries", "speedup", "fully exposed", "partial",
                  "covered", "exposed frac", "paper"});
 
     double exposed_at_2 = 0;
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        const unsigned entries = sizes[i];
-        const SuiteResult &r = results[indices[i]];
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        const unsigned entries = c.entries()[i].cfg.ftqEntries;
+        const SuiteResult &r = results[i];
 
         double fully = 0;
         double partial = 0;
@@ -65,7 +65,7 @@ main()
                             : entries == 24 ? "marginal gain"
                                             : "-";
         t.addRow({std::to_string(entries),
-                  speedupStr(r.speedupOver(results[base])),
+                  speedupStr(r.speedupOver(base)),
                   TextTable::num(fully, 0), TextTable::num(partial, 0),
                   TextTable::num(covered, 0),
                   total > 0 ? TextTable::pct(exposed / total) : "-",

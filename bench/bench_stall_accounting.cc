@@ -14,13 +14,16 @@
  * FTQ-empty/BTB-miss and L1I-miss buckets for weak prefetchers, while
  * stronger ones hold the L1I share down.
  *
- * All (config, workload) pairs are batched into one campaign so they
- * run in parallel under FDIP_JOBS and spool-cache under FDIP_SPOOL.
+ * The grid is the "stall_accounting" preset of `fdipsim --campaign`
+ * (bench and CLI runs share spool records), batched into one campaign
+ * so it runs in parallel under FDIP_JOBS and spool-caches under
+ * FDIP_SPOOL.
  */
 
 #include "bench/bench_common.h"
 
 #include "core/cycle_stats.h"
+#include "sim/campaign_presets.h"
 
 namespace
 {
@@ -65,50 +68,19 @@ main()
 
     const auto workloads = suite(400000);
 
-    struct Pf
-    {
-        const char *label;
-        const char *name; ///< nullptr: FDP alone, no L1I prefetcher.
-    };
-    const Pf pfs[] = {
-        {"FDP", nullptr},
-        {"FDP+NL1", "nl1"},
-        {"FDP+EIP-27KB", "eip-27"},
-    };
-    const unsigned btbs[] = {1024u, 2048u, 4096u, 8192u};
-
-    struct Row
-    {
-        std::size_t idx;
-        std::string name;
-    };
-
     Campaign c(workloads);
-    std::vector<Row> rows;
-    for (const Pf &pf : pfs) {
-        for (unsigned entries : btbs) {
-            CoreConfig cfg = paperBaselineConfig();
-            cfg.bpu.btb.numEntries = entries;
-            const std::string label =
-                std::string(pf.label) + "@" + std::to_string(entries);
-            const std::size_t idx =
-                pf.name == nullptr
-                    ? c.add(label, cfg, noPrefetcher())
-                    : c.add(label, cfg, prefetcher(pf.name), pf.name);
-            rows.push_back({idx, label});
-        }
-    }
+    for (CampaignEntry &e : buildCampaignEntries("stall_accounting"))
+        c.add(std::move(e));
 
-    const auto results =
-        runTimed(c, workloads.size(), "stall_accounting");
+    const auto results = runTimed(c, "stall_accounting");
 
     std::vector<std::string> header = {"configuration"};
     for (std::size_t b = 0; b < kCycleBucketCount; ++b)
         header.emplace_back(kCycleBucketName[b]);
     TextTable t(header);
-    for (const Row &row : rows) {
-        const BucketShares s = bucketShares(results[row.idx]);
-        std::vector<std::string> cells = {row.name};
+    for (const SuiteResult &r : results) {
+        const BucketShares s = bucketShares(r);
+        std::vector<std::string> cells = {r.label};
         double sum = 0.0;
         for (std::size_t b = 0; b < kCycleBucketCount; ++b) {
             cells.push_back(TextTable::num(100.0 * s.frac[b], 1) + "%");
@@ -122,7 +94,7 @@ main()
             std::fprintf(stderr,
                          "stall accounting: %s buckets sum to %.4f, "
                          "not 1.0\n",
-                         row.name.c_str(), sum);
+                         r.label.c_str(), sum);
             return 1;
         }
     }

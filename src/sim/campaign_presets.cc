@@ -1,6 +1,5 @@
 #include "sim/campaign_presets.h"
 
-#include "prefetch/factory.h"
 #include "util/log.h"
 
 namespace fdip
@@ -9,20 +8,13 @@ namespace fdip
 namespace
 {
 
-/** Factory adapter for named prefetchers (mirrors bench_common.h). */
-PrefetcherFactory
-named(const std::string &name)
-{
-    return [name](const Trace &) { return makePrefetcher(name); };
-}
-
 /** Adds one entry with an explicit prefetcher identity. */
 void
 add(std::vector<CampaignEntry> &out, std::string label, CoreConfig cfg,
     const std::string &prefetcher)
 {
     out.push_back(CampaignEntry{std::move(label), std::move(cfg),
-                                named(prefetcher), prefetcher});
+                                namedPrefetcher(prefetcher), prefetcher});
 }
 
 /** Fig. 6a core: prefetchers with and without FDP. */
@@ -39,7 +31,8 @@ prefetchersCampaign()
     return out;
 }
 
-/** Fig. 14 core: the FTQ size sweep. */
+/** Fig. 14: the FTQ size sweep (bench_fig14_ftq_size's grid; "ftq2"
+ *  is the no-FDP baseline, i.e. the 2-entry FTQ). */
 std::vector<CampaignEntry>
 ftqCampaign()
 {
@@ -70,10 +63,10 @@ historyCampaign()
     return out;
 }
 
-/** bench_stall_accounting's sweep: cycle-accounting breakdowns by
- *  prefetcher as the BTB shrinks from 8K to 1K entries. Registered
- *  as a preset so the sharded/resumable campaign runner can produce
- *  the same grid the bench prints. */
+/** bench_stall_accounting's grid: cycle-accounting breakdowns by
+ *  prefetcher as the BTB shrinks from 8K to 1K entries. The bench
+ *  takes its entries from here, so bench and `fdipsim --campaign`
+ *  runs share spool records. */
 std::vector<CampaignEntry>
 stallAccountingCampaign()
 {

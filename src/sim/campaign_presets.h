@@ -4,7 +4,9 @@
  * cross products mirroring the paper's figure sweeps, so the spooled
  * campaign service (sim/campaign_store.h) can be driven — sharded,
  * killed, resumed, merged — from the command line without writing a
- * bench binary.
+ * bench binary. Benches whose grid is a preset (fig14 = "ftq",
+ * stall_accounting) build their entries from here, so a bench run and
+ * a `--campaign` run of the same grid share spool records.
  *
  * Every preset sets CampaignEntry::prefetcherId explicitly, so the
  * manifest hash names the prefetcher by its factory name rather than

@@ -1,10 +1,13 @@
 #include "sim/campaign_store.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <thread>
 
 #include <signal.h>
 #include <unistd.h>
@@ -438,14 +441,13 @@ buildManifest(const std::vector<CampaignEntry> &entries,
               const std::vector<SuiteEntry> &suite,
               double warmup_fraction)
 {
-    // Hash the configs exactly as the engine runs them: resolved.
+    // Hash the configs exactly as the executor runs them: resolved.
     std::vector<std::string> config_texts;
     std::vector<std::string> config_digests;
     config_texts.reserve(entries.size());
     for (const CampaignEntry &e : entries) {
-        CoreConfig cfg = e.cfg;
-        cfg.applyHistoryScheme();
-        config_texts.push_back(canonicalConfigText(cfg));
+        config_texts.push_back(
+            canonicalConfigText(resolveRunConfig(e.cfg, e.label)));
         config_digests.push_back(toHex16(fnv1a64(config_texts.back())));
     }
 
@@ -499,25 +501,19 @@ scanSpool(const std::string &spool_dir)
     return scan;
 }
 
-std::vector<SuiteResult>
-runCampaignSpooled(const std::vector<CampaignEntry> &entries,
-                   const std::vector<SuiteEntry> &suite,
-                   const SpoolOptions &options, SpoolSummary *summary_out)
+namespace
 {
-    const std::string dir = openSpool(options.spoolDir);
-    const std::vector<ManifestEntry> manifest =
-        buildManifest(entries, suite, options.warmupFraction);
-    const std::size_t workloads = suite.size();
 
-    SpoolSummary summary;
-    summary.totalRuns = manifest.size();
-
-    SpoolScan scan = scanSpool(dir);
-    summary.quarantined = scan.quarantined.size();
-
-    // Release claims whose record already exists (crash between
-    // publish and claim removal) and — on resume — claims and temp
-    // files owned by dead processes of this host.
+/**
+ * Spool hygiene before a drain: releases claims whose record already
+ * exists (crash between publish and claim removal) and — with
+ * @p reclaim_dead_claims — claims and temp files owned by dead
+ * processes of this host.
+ */
+void
+releaseStaleClaims(const std::string &dir, const SpoolScan &scan,
+                   bool reclaim_dead_claims, SpoolSummary *summary)
+{
     for (const std::string &name : listDirectory(dir)) {
         if (name.size() > 6 &&
             name.compare(name.size() - 6, 6, ".claim") == 0) {
@@ -526,7 +522,7 @@ runCampaignSpooled(const std::vector<CampaignEntry> &entries,
                 removeFile(dir + "/" + name);
                 continue;
             }
-            if (!options.reclaimDeadClaims)
+            if (!reclaim_dead_claims)
                 continue;
             std::string text;
             if (!readFileToString(dir + "/" + name, &text))
@@ -538,12 +534,12 @@ runCampaignSpooled(const std::vector<CampaignEntry> &entries,
                 ourhost[0] = '\0';
             if (host == ourhost && !processAlive(pid)) {
                 removeFile(dir + "/" + name);
-                ++summary.reclaimed;
+                ++summary->reclaimed;
                 fdip_inform("campaign: reclaimed stale claim %s "
                             "(dead pid %ld)",
                             stem.c_str(), pid);
             }
-        } else if (options.reclaimDeadClaims &&
+        } else if (reclaim_dead_claims &&
                    name.find(".tmp.") != std::string::npos) {
             // Orphaned atomic-write temp file: `<key>.tmp.<pid>`.
             const std::string pid_part =
@@ -553,18 +549,125 @@ runCampaignSpooled(const std::vector<CampaignEntry> &entries,
                 removeFile(dir + "/" + name);
         }
     }
+}
 
-    // Worker-side counters: touched concurrently from the pool.
-    Atomic<std::size_t> simulated{0};
-    Atomic<std::size_t> claimed_elsewhere{0};
+/**
+ * One executor drain: the worker pool, plus — when a spool is attached
+ * — the claim/publish protocol around each run.
+ *
+ * Work item i is the (i / workloads, i % workloads) pair, i.e. manifest
+ * order, and writes only its own preallocated result slot, so workers
+ * never contend on a results container and completion order cannot
+ * perturb output order. Every other concurrency rule is a capability
+ * annotation: entries, suite, manifest and the initial spool scan are
+ * const views shared read-only by every worker; claiming goes through
+ * one atomic cursor (no per-item locks); the counters are atomics; the
+ * only lock-guarded member is the first-error capture.
+ */
+class Drain
+{
+  public:
+    /** @p dir empty means no spool (then @p manifest is empty too). */
+    Drain(const std::vector<CampaignEntry> &entries,
+          const std::vector<SuiteEntry> &suite,
+          const SpoolOptions &options, const std::string &dir,
+          const std::vector<ManifestEntry> &manifest,
+          const SpoolScan &scan, std::vector<SuiteResult> &results)
+        : entries_(entries), suite_(suite), options_(options), dir_(dir),
+          manifest_(manifest), scan_(scan), results_(results),
+          total_(entries.size() * suite.size())
+    {
+    }
 
-    CampaignHooks hooks;
-    hooks.claimRun = [&](std::size_t c, std::size_t w) {
-        const ManifestEntry &m = manifest[c * workloads + w];
-        if (scan.records.count(m.hash) != 0)
-            return false; // Cache hit; filled below.
+    Drain(const Drain &) = delete;
+    Drain &operator=(const Drain &) = delete;
+
+    /** Drains every item over @p jobs workers (the calling thread
+     *  alone when jobs <= 1), then rethrows the first worker error. */
+    void
+    run(unsigned jobs)
+    {
+        if (jobs <= 1 || total_ <= 1) {
+            work();
+        } else {
+            // jthreads join on destruction, also when a later spawn
+            // throws: no worker outlives the data it reads.
+            const auto n =
+                static_cast<unsigned>(std::min<std::size_t>(jobs, total_));
+            std::vector<std::jthread> threads;
+            threads.reserve(n);
+            for (unsigned t = 0; t < n; ++t)
+                threads.emplace_back([this]() { work(); });
+        }
+
+        std::exception_ptr err;
+        {
+            MutexLock lock(errorMutex_);
+            err = firstError_;
+        }
+        if (err)
+            std::rethrow_exception(err);
+    }
+
+    std::size_t
+    simulated() const
+    {
+        return simulated_.load(std::memory_order_relaxed);
+    }
+
+    std::size_t
+    claimedElsewhere() const
+    {
+        return claimedElsewhere_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    /** The claim loop: runs items until the list is drained or a
+     *  sibling worker has failed. Safe to call from any thread. */
+    void
+    work()
+    {
+        const std::size_t workloads = suite_.size();
+        for (;;) {
+            if (failed_.load(std::memory_order_relaxed))
+                return;
+            const std::size_t i =
+                cursor_.fetchAdd(1, std::memory_order_relaxed);
+            if (i >= total_)
+                return;
+            const std::size_t c = i / workloads;
+            const std::size_t w = i % workloads;
+            try {
+                if (!dir_.empty() && !claim(manifest_[i]))
+                    continue;
+                simulated_.fetchAdd(1, std::memory_order_relaxed);
+                if (options_.onSimulate)
+                    options_.onSimulate(c, w);
+                RunResult &slot = results_[c].runs[w];
+                slot = runOne(entries_[c].cfg, suite_[w],
+                              entries_[c].makePrefetcher,
+                              options_.warmupFraction);
+                if (!dir_.empty())
+                    publish(manifest_[i], entries_[c].label, slot);
+            } catch (...) {
+                MutexLock lock(errorMutex_);
+                if (!firstError_)
+                    firstError_ = std::current_exception();
+                failed_.store(true, std::memory_order_relaxed);
+                return;
+            }
+        }
+    }
+
+    /** Claims @p m for this process; false when it is served from the
+     *  spool or owned by another worker. */
+    bool
+    claim(const ManifestEntry &m)
+    {
+        if (scan_.records.count(m.hash) != 0)
+            return false; // Cache hit; filled after the drain.
         std::string err;
-        switch (createFileExclusive(spoolPath(dir, m.hash, "claim"),
+        switch (createFileExclusive(spoolPath(dir_, m.hash, "claim"),
                                     claimText(), &err)) {
         case ExclusiveCreate::kCreated:
             // Claims are removed only *after* the record is published,
@@ -572,53 +675,111 @@ runCampaignSpooled(const std::vector<CampaignEntry> &entries,
             // record behind with no claim — and we just won a claim
             // for work that is already done. Holding the claim makes
             // this check race-free: no publication can be in flight.
-            if (fileExists(spoolPath(dir, m.hash, "json"))) {
-                removeFile(spoolPath(dir, m.hash, "claim"));
-                return false; // Late cache hit; filled below.
+            if (fileExists(spoolPath(dir_, m.hash, "json"))) {
+                removeFile(spoolPath(dir_, m.hash, "claim"));
+                return false; // Late cache hit; filled after the drain.
             }
-            simulated.fetchAdd(1, std::memory_order_relaxed);
-            if (options.onSimulate)
-                options.onSimulate(c, w);
             return true;
         case ExclusiveCreate::kExists:
-            claimed_elsewhere.fetchAdd(1, std::memory_order_relaxed);
+            claimedElsewhere_.fetchAdd(1, std::memory_order_relaxed);
             return false;
         case ExclusiveCreate::kError:
         default:
             fdip_warn("campaign: cannot claim %s: %s", m.hash.c_str(),
                       err.c_str());
-            claimed_elsewhere.fetchAdd(1, std::memory_order_relaxed);
+            claimedElsewhere_.fetchAdd(1, std::memory_order_relaxed);
             return false;
         }
-    };
-    hooks.onRunComplete = [&](std::size_t c, std::size_t w,
-                              const RunResult &run) {
-        const ManifestEntry &m = manifest[c * workloads + w];
+    }
+
+    /** Publishes a finished run's record, then releases its claim, so
+     *  a crash loses at most the runs in flight. */
+    void
+    publish(const ManifestEntry &m, const std::string &label,
+            const RunResult &run)
+    {
         CampaignRecord record;
         record.hash = m.hash;
-        record.label = entries[c].label;
+        record.label = label;
         record.workload = run.workload;
         record.prefetcher = m.prefetcherId;
         record.configDigestHex = m.configDigestHex;
         record.stats = run.stats;
         std::string err;
-        if (!writeFileAtomic(spoolPath(dir, m.hash, "json"),
+        if (!writeFileAtomic(spoolPath(dir_, m.hash, "json"),
                              campaignRecordJson(record), &err)) {
             fdip_warn("campaign: cannot persist record %s: %s",
                       m.hash.c_str(), err.c_str());
             return;
         }
-        removeFile(spoolPath(dir, m.hash, "claim"));
-    };
+        removeFile(spoolPath(dir_, m.hash, "claim"));
+    }
 
-    std::vector<SuiteResult> results = runCampaignHooked(
-        entries, suite, options.warmupFraction, options.jobs, hooks);
+    /// @{ Shared read-only (safe to alias across workers). onSimulate
+    /// is invoked concurrently and is documented thread-safe.
+    const std::vector<CampaignEntry> &entries_;
+    const std::vector<SuiteEntry> &suite_;
+    const SpoolOptions &options_;
+    const std::string &dir_;
+    const std::vector<ManifestEntry> &manifest_;
+    const SpoolScan &scan_;
+    /// @}
 
-    summary.simulated = simulated.load(std::memory_order_relaxed);
-    summary.claimedElsewhere =
-        claimed_elsewhere.load(std::memory_order_relaxed);
+    /** Slot i / workloads, i % workloads belongs to item i alone. */
+    std::vector<SuiteResult> &results_;
+    const std::size_t total_;
 
-    // Fill every slot the engine skipped: from the initial scan, or
+    /// @{ Lock-free claim protocol and counters.
+    Atomic<std::size_t> cursor_{0};
+    Atomic<bool> failed_{false};
+    Atomic<std::size_t> simulated_{0};
+    Atomic<std::size_t> claimedElsewhere_{0};
+    /// @}
+
+    Mutex errorMutex_;
+    std::exception_ptr firstError_ FDIP_GUARDED_BY(errorMutex_);
+};
+
+} // namespace
+
+std::vector<SuiteResult>
+runCampaignSpooled(const std::vector<CampaignEntry> &entries,
+                   const std::vector<SuiteEntry> &suite,
+                   const SpoolOptions &options, SpoolSummary *summary_out)
+{
+    // Resolve configs and the worker count up front, on the calling
+    // thread: resolution reads the environment, which workers must
+    // not race on.
+    std::vector<CampaignEntry> resolved = entries;
+    for (CampaignEntry &e : resolved)
+        e.cfg = resolveRunConfig(std::move(e.cfg), e.label);
+    const unsigned jobs = options.jobs == 0 ? jobsFromEnv() : options.jobs;
+
+    SpoolSummary summary;
+    summary.totalRuns = entries.size() * suite.size();
+    std::vector<SuiteResult> results(entries.size());
+    for (std::size_t c = 0; c < entries.size(); ++c) {
+        results[c].label = entries[c].label;
+        results[c].runs.resize(suite.size());
+    }
+
+    std::string dir;
+    std::vector<ManifestEntry> manifest;
+    SpoolScan scan;
+    if (!options.spoolDir.empty()) {
+        dir = openSpool(options.spoolDir);
+        manifest = buildManifest(resolved, suite, options.warmupFraction);
+        scan = scanSpool(dir);
+        summary.quarantined = scan.quarantined.size();
+        releaseStaleClaims(dir, scan, options.reclaimDeadClaims, &summary);
+    }
+
+    Drain drain(resolved, suite, options, dir, manifest, scan, results);
+    drain.run(jobs);
+    summary.simulated = drain.simulated();
+    summary.claimedElsewhere = drain.claimedElsewhere();
+
+    // Fill every slot the drain skipped: from the initial scan, or
     // from a late re-read (a sibling process may have published the
     // record while we were draining).
     summary.complete = true;

@@ -1,7 +1,28 @@
 /**
  * @file
- * The campaign-at-scale service layer: a sharded, resumable,
- * content-addressed result store over the parallel experiment engine.
+ * The campaign executor: runCampaignSpooled() drains every (config,
+ * workload) pair of a campaign over a pool of worker threads, either
+ * in memory or through a sharded, resumable, content-addressed result
+ * spool. It is the one run path every bench, fdipsim mode and example
+ * uses; runOne() (sim/experiment.h) is its unit of work.
+ *
+ * Determinism contract
+ * --------------------
+ * Every run is an independent unit of work: a fresh Core and a fresh
+ * prefetcher over an immutable, shared Trace. Workers never share
+ * mutable simulator state, so per-run SimStats are bit-identical to
+ * the serial runSuite() reference regardless of the worker count,
+ * scheduling order, or spool state, and results are collected back
+ * into campaign order before any aggregate (geomean IPC, speedups) is
+ * computed. tests/sim_parallel_test.cc asserts this for jobs = 1, 2,
+ * 8, with and without a spool.
+ *
+ * The contract is also a compile-time property: all executor
+ * synchronization goes through the capability-annotated primitives of
+ * util/sync.h (clang -Wthread-safety, the `thread-safety` CMake
+ * preset), and tools/lint/check_concurrency.py bans raw primitives
+ * and ambient static state from worker-path code — see
+ * docs/ANALYSIS.md §6.
  *
  * Spool format v2 (see docs/CAMPAIGN.md for the full specification)
  * -----------------------------------------------------------------
@@ -32,7 +53,7 @@
  * - Sharding: N `fdipsim --campaign` processes over one spool
  *   (same host or different hosts on a shared filesystem) claim
  *   disjoint entries and cooperatively drain one manifest.
- * - Byte-verifiability: the engine's determinism contract means a
+ * - Byte-verifiability: the executor's determinism contract means a
  *   merged report assembled from any mixture of processes, hosts, and
  *   crash/resume cycles is byte-identical to one uninterrupted serial
  *   run. The test suite (tests/sim_campaign_resume_test.cc,
@@ -101,7 +122,7 @@ struct ManifestEntry
 /**
  * Builds the campaign manifest: one content hash per (config,
  * workload) pair, in campaign order. Configs are hashed *resolved*
- * (applyHistoryScheme applied), matching what the engine runs.
+ * (resolveRunConfig()), matching what the executor runs.
  */
 std::vector<ManifestEntry>
 buildManifest(const std::vector<CampaignEntry> &entries,
@@ -139,9 +160,11 @@ struct SpoolSummary
     bool complete = false;
 };
 
-/** Options for a spooled campaign drain. */
+/** Options for a campaign drain. */
 struct SpoolOptions
 {
+    /** Spool directory; empty runs the campaign in memory (no spool:
+     *  every pair is simulated, nothing is read or written). */
     std::string spoolDir;
     double warmupFraction = 0.2;
     unsigned jobs = 0; ///< 0 = FDIP_JOBS / hardware concurrency.
@@ -156,26 +179,36 @@ struct SpoolOptions
     bool reclaimDeadClaims = false;
 
     /**
-     * Test interposer: invoked (on a worker thread) for every run
-     * this process actually simulates. The zero-resimulation cache
-     * tests count calls through this.
+     * Invoked on the worker thread for every run this process
+     * actually simulates, just before it is simulated. Must be
+     * thread-safe. The zero-resimulation cache tests count calls
+     * through this.
      */
     std::function<void(std::size_t entry, std::size_t workload)>
         onSimulate;
 };
 
 /**
- * Drains a campaign through a spool directory: verified records are
- * cache hits, unclaimed work is claimed (O_EXCL) and simulated with
- * the parallel engine, and every completed run is atomically
- * published before the worker moves on. Results come back in campaign
- * order with cache hits filled from the store; pairs still claimed by
- * a live sibling process are left zeroed and reported via
- * @p summary->complete == false (merge once the sibling finishes).
+ * Drains a campaign: the experiment executor. Configs are resolved
+ * once (resolveRunConfig()) and every (entry, workload) pair is fanned
+ * out over `options.jobs` workers; results come back in campaign
+ * order, each with runs in suite order.
  *
- * Fatal (clear message, exit 1) when the spool directory cannot be
- * created or written — a misconfigured spool must not silently fall
- * back to recomputing everything.
+ * Without a spool (`options.spoolDir` empty) every pair is simulated
+ * and the summary reports `simulated == totalRuns`, `complete`.
+ *
+ * With a spool, verified records are cache hits, unclaimed work is
+ * claimed (O_EXCL) and simulated, and every completed run is
+ * atomically published before the worker moves on. Cache hits carry
+ * counters only (no heartbeats, stat dumps or host phases). Pairs
+ * still claimed by a live sibling process are left zeroed and
+ * reported via @p summary->complete == false (merge once the sibling
+ * finishes). Fatal (clear message, exit 1) when the spool directory
+ * cannot be created or written — a misconfigured spool must not
+ * silently fall back to recomputing everything.
+ *
+ * The first exception thrown by any run is rethrown on the calling
+ * thread once every worker has joined.
  */
 std::vector<SuiteResult>
 runCampaignSpooled(const std::vector<CampaignEntry> &entries,

@@ -4,6 +4,7 @@
 
 #include "obs/obs_config.h"
 #include "obs/trace_events.h"
+#include "prefetch/factory.h"
 #include "util/fnv.h"
 #include "util/log.h"
 #include "util/stats.h"
@@ -15,6 +16,12 @@ PrefetcherFactory
 noPrefetcher()
 {
     return [](const Trace &) { return std::make_unique<NullPrefetcher>(); };
+}
+
+PrefetcherFactory
+namedPrefetcher(const std::string &name)
+{
+    return [name](const Trace &) { return makePrefetcher(name); };
 }
 
 double
@@ -107,15 +114,22 @@ runOne(const CoreConfig &cfg, const SuiteEntry &entry,
     return run;
 }
 
-SuiteResult
-runSuite(const std::string &label, CoreConfig cfg,
-         const std::vector<SuiteEntry> &suite,
-         const PrefetcherFactory &make_prefetcher, double warmup_fraction)
+CoreConfig
+resolveRunConfig(CoreConfig cfg, const std::string &label)
 {
     cfg.applyHistoryScheme();
     cfg.obs = resolveObsEnv(cfg.obs);
     if (cfg.obs.traceLabel.empty())
         cfg.obs.traceLabel = label;
+    return cfg;
+}
+
+SuiteResult
+runSuite(const std::string &label, CoreConfig cfg,
+         const std::vector<SuiteEntry> &suite,
+         const PrefetcherFactory &make_prefetcher, double warmup_fraction)
+{
+    cfg = resolveRunConfig(std::move(cfg), label);
     SuiteResult result;
     result.label = label;
     result.runs.reserve(suite.size());

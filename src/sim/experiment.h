@@ -33,6 +33,9 @@ using PrefetcherFactory =
 /** A factory for the null prefetcher. */
 PrefetcherFactory noPrefetcher();
 
+/** A factory for the prefetcher makePrefetcher(@p name) builds. */
+PrefetcherFactory namedPrefetcher(const std::string &name);
+
 /** Result of one (config, workload) simulation. */
 struct RunResult
 {
@@ -72,9 +75,18 @@ struct SuiteResult
 };
 
 /**
- * Runs one (config, workload) pair: the unit of work shared by the
- * serial and parallel experiment engines. @p cfg must already have had
- * applyHistoryScheme() called; the trace is borrowed read-only, so many
+ * Resolves @p cfg into the exact configuration a run executes: applies
+ * the history scheme, fills unset observability options from the
+ * environment, and defaults the trace label to @p label. Every run
+ * path and the campaign manifest resolve through this one function.
+ * Call it on the coordinating thread: it reads the environment.
+ */
+CoreConfig resolveRunConfig(CoreConfig cfg, const std::string &label);
+
+/**
+ * Runs one (config, workload) pair: the unit of work of every
+ * experiment path. @p cfg must already be resolved (see
+ * resolveRunConfig()); the trace is borrowed read-only, so many
  * concurrent runs may share one decoded trace. Fills host wall-clock
  * telemetry (SimStats::hostWallSeconds) as a side effect.
  */
@@ -83,10 +95,12 @@ RunResult runOne(const CoreConfig &cfg, const SuiteEntry &entry,
                  double warmup_fraction);
 
 /**
- * Runs @p cfg over every trace in @p suite.
+ * Runs @p cfg over every trace in @p suite, serially on the calling
+ * thread: the plain reference the campaign executor
+ * (runCampaignSpooled, sim/campaign_store.h) is tested against.
  *
  * @param label          display label.
- * @param cfg            core configuration (historyScheme is applied).
+ * @param cfg            core configuration (resolved here).
  * @param suite          the traces.
  * @param make_prefetcher per-trace prefetcher factory.
  * @param warmup_fraction fraction of each trace treated as warmup.

@@ -3,157 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <exception>
 #include <thread>
 
-#include "obs/obs_config.h"
 #include "util/log.h"
-#include "util/sync.h"
 
 namespace fdip
 {
-
-namespace
-{
-
-/**
- * One (config, workload) pair awaiting execution, plus the slot its
- * result lands in. Slots are preallocated so workers never contend on
- * a results container and completion order cannot perturb output
- * order.
- */
-struct WorkItem
-{
-    /** Shared read-only inputs: workers reach the campaign entry, the
-     *  workload, and (through it) the decoded trace exclusively via
-     *  these const views, so many concurrent runs can alias one trace
-     *  without synchronization. */
-    const CampaignEntry *entry;
-    const SuiteEntry *workload;
-    /** Exclusively owned output: slot i is touched only by whichever
-     *  worker claimed item i from the cursor, never concurrently. */
-    RunResult *slot;
-    /** (entry, workload) indices reported to the campaign hooks. */
-    std::size_t entryIdx;
-    std::size_t workloadIdx;
-};
-
-/**
- * The shared state of one pool drain, with every concurrency rule
- * expressed as a capability annotation: the work list is a const view,
- * claiming goes through one atomic cursor (no per-item locks), each
- * item writes only its own preallocated slot, and the only
- * lock-guarded member is the first-error capture. The first exception
- * thrown by any run is rethrown on the calling thread after every
- * worker has joined, so an FDIP_CHECK violation inside a worker
- * surfaces exactly like it does serially.
- */
-class WorkPool
-{
-  public:
-    WorkPool(const std::vector<WorkItem> &items, double warmup_fraction,
-             const CampaignHooks &hooks)
-        : items_(items), warmupFraction_(warmup_fraction), hooks_(hooks)
-    {
-    }
-
-    /** The claim loop: runs items until the list is drained or a
-     *  sibling worker has failed. Safe to call from any thread. */
-    void
-    work()
-    {
-        for (;;) {
-            if (failed_.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i =
-                cursor_.fetchAdd(1, std::memory_order_relaxed);
-            if (i >= items_.size())
-                return;
-            const WorkItem &item = items_[i];
-            try {
-                if (hooks_.claimRun &&
-                    !hooks_.claimRun(item.entryIdx, item.workloadIdx))
-                    continue;
-                *item.slot =
-                    runOne(item.entry->cfg, *item.workload,
-                           item.entry->makePrefetcher, warmupFraction_);
-                if (hooks_.onRunComplete) {
-                    hooks_.onRunComplete(item.entryIdx,
-                                         item.workloadIdx, *item.slot);
-                }
-            } catch (...) {
-                recordError(std::current_exception());
-                return;
-            }
-        }
-    }
-
-    /** Rethrows the first captured worker error, if any. Call after
-     *  every worker has joined. */
-    void
-    rethrowPending()
-    {
-        std::exception_ptr err;
-        {
-            MutexLock lock(errorMutex_);
-            err = firstError_;
-        }
-        if (err)
-            std::rethrow_exception(err);
-    }
-
-  private:
-    void
-    recordError(std::exception_ptr err)
-    {
-        MutexLock lock(errorMutex_);
-        if (!firstError_)
-            firstError_ = err;
-        failed_.store(true, std::memory_order_relaxed);
-    }
-
-    /// @{ Shared read-only (safe to alias across workers). The hooks
-    /// are invoked concurrently and are documented thread-safe
-    /// (parallel.h: CampaignHooks).
-    const std::vector<WorkItem> &items_;
-    const double warmupFraction_;
-    const CampaignHooks &hooks_;
-    /// @}
-
-    /// @{ Lock-free claim protocol.
-    Atomic<std::size_t> cursor_{0};
-    Atomic<bool> failed_{false};
-    /// @}
-
-    Mutex errorMutex_;
-    std::exception_ptr firstError_ FDIP_GUARDED_BY(errorMutex_);
-};
-
-/** Executes @p items over @p jobs workers (see WorkPool). */
-void
-drainPool(const std::vector<WorkItem> &items, double warmup_fraction,
-          unsigned jobs, const CampaignHooks &hooks)
-{
-    WorkPool pool(items, warmup_fraction, hooks);
-
-    if (jobs <= 1 || items.size() <= 1) {
-        // Exact serial fallback: same claim loop, calling thread only.
-        pool.work();
-    } else {
-        const unsigned n =
-            static_cast<unsigned>(std::min<std::size_t>(jobs, items.size()));
-        std::vector<std::thread> threads;
-        threads.reserve(n);
-        for (unsigned t = 0; t < n; ++t)
-            threads.emplace_back([&pool]() { pool.work(); });
-        for (auto &th : threads)
-            th.join();
-    }
-
-    pool.rethrowPending();
-}
-
-} // namespace
 
 unsigned
 jobsFromEnv(unsigned fallback)
@@ -178,81 +33,21 @@ jobsFromEnv(unsigned fallback)
     return static_cast<unsigned>(n);
 }
 
-std::vector<SuiteResult>
-runCampaignHooked(const std::vector<CampaignEntry> &entries,
-                  const std::vector<SuiteEntry> &suite,
-                  double warmup_fraction, unsigned jobs,
-                  const CampaignHooks &hooks)
-{
-    // Resolve configs and the worker count up front, on the calling
-    // thread: applyHistoryScheme() mutates the config and getenv() is
-    // not something workers should race on (observability env included).
-    std::vector<CampaignEntry> resolved = entries;
-    for (auto &e : resolved) {
-        e.cfg.applyHistoryScheme();
-        e.cfg.obs = resolveObsEnv(e.cfg.obs);
-        if (e.cfg.obs.traceLabel.empty())
-            e.cfg.obs.traceLabel = e.label;
-    }
-    if (jobs == 0)
-        jobs = jobsFromEnv();
-
-    std::vector<SuiteResult> results(resolved.size());
-    for (std::size_t c = 0; c < resolved.size(); ++c) {
-        results[c].label = resolved[c].label;
-        results[c].runs.resize(suite.size());
-    }
-
-    std::vector<WorkItem> items;
-    items.reserve(resolved.size() * suite.size());
-    for (std::size_t c = 0; c < resolved.size(); ++c) {
-        for (std::size_t w = 0; w < suite.size(); ++w) {
-            items.push_back(WorkItem{&resolved[c], &suite[w],
-                                     &results[c].runs[w], c, w});
-        }
-    }
-
-    drainPool(items, warmup_fraction, jobs, hooks);
-    return results;
-}
-
-std::vector<SuiteResult>
-runCampaign(const std::vector<CampaignEntry> &entries,
-            const std::vector<SuiteEntry> &suite, double warmup_fraction,
-            unsigned jobs)
-{
-    return runCampaignHooked(entries, suite, warmup_fraction, jobs,
-                             CampaignHooks{});
-}
-
-SuiteResult
-runSuiteParallel(const std::string &label, CoreConfig cfg,
-                 const std::vector<SuiteEntry> &suite,
-                 const PrefetcherFactory &make_prefetcher,
-                 double warmup_fraction, unsigned jobs)
-{
-    std::vector<CampaignEntry> one;
-    one.push_back(
-        CampaignEntry{label, std::move(cfg), make_prefetcher, {}});
-    auto results = runCampaign(one, suite, warmup_fraction, jobs);
-    return std::move(results.front());
-}
-
 std::size_t
 Campaign::add(std::string label, CoreConfig cfg,
               PrefetcherFactory make_prefetcher,
               std::string prefetcher_id)
 {
-    entries_.push_back(CampaignEntry{std::move(label), std::move(cfg),
-                                     std::move(make_prefetcher),
-                                     std::move(prefetcher_id)});
-    return entries_.size() - 1;
+    return add(CampaignEntry{std::move(label), std::move(cfg),
+                             std::move(make_prefetcher),
+                             std::move(prefetcher_id)});
 }
 
-std::vector<SuiteResult>
-Campaign::run(unsigned jobs) const
+std::size_t
+Campaign::add(CampaignEntry entry)
 {
-    return runCampaign(entries_, suite_, warmupFraction_, jobs);
+    entries_.push_back(std::move(entry));
+    return entries_.size() - 1;
 }
 
 } // namespace fdip

@@ -14,8 +14,8 @@
 #include "core/core.h"
 #include "obs/obs_config.h"
 #include "prefetch/factory.h"
+#include "sim/campaign_store.h"
 #include "sim/experiment.h"
-#include "sim/parallel.h"
 
 namespace fdip
 {
@@ -143,20 +143,20 @@ TEST(Tracing, OnVersusOffIsBitIdenticalUnderParallelRuns)
         suite.push_back(std::move(e));
     }
 
-    CoreConfig plain = paperBaselineConfig();
-    const SuiteResult off = runSuiteParallel(
-        "off", plain, suite,
-        [](const Trace &) { return makePrefetcher("nl1"); },
-        /*warmup_fraction=*/0.1, /*jobs=*/8);
-
     CoreConfig traced = paperBaselineConfig();
     traced.obs.tracePath =
         std::string(::testing::TempDir()) + "/campaign.json";
     traced.obs.heartbeatInterval = 1000;
-    const SuiteResult on = runSuiteParallel(
-        "on", traced, suite,
-        [](const Trace &) { return makePrefetcher("nl1"); },
-        /*warmup_fraction=*/0.1, /*jobs=*/8);
+    SpoolOptions options;
+    options.warmupFraction = 0.1;
+    options.jobs = 8;
+    const auto results = runCampaignSpooled(
+        {CampaignEntry{"off", paperBaselineConfig(), namedPrefetcher("nl1"),
+                       "nl1"},
+         CampaignEntry{"on", traced, namedPrefetcher("nl1"), "nl1"}},
+        suite, options);
+    const SuiteResult &off = results[0];
+    const SuiteResult &on = results[1];
 
     ASSERT_EQ(off.runs.size(), on.runs.size());
     for (std::size_t i = 0; i < off.runs.size(); ++i) {

@@ -60,6 +60,16 @@ struct TinyCampaign
     }
 };
 
+/** The plain serial reference: runSuite() per campaign entry. */
+std::vector<SuiteResult>
+serialReference(const TinyCampaign &tc)
+{
+    std::vector<SuiteResult> out;
+    for (const CampaignEntry &e : tc.entries)
+        out.push_back(runSuite(e.label, e.cfg, tc.suite, e.makePrefetcher));
+    return out;
+}
+
 void
 expectArchEqual(const std::vector<SuiteResult> &a,
                 const std::vector<SuiteResult> &b)
@@ -101,8 +111,7 @@ writeRaw(const std::string &path, const std::string &bytes)
 TEST(CampaignResume, SpooledColdRunMatchesSerialGolden)
 {
     const TinyCampaign tc;
-    const auto golden =
-        runCampaign(tc.entries, tc.suite, 0.2, /*jobs=*/1);
+    const auto golden = serialReference(tc);
 
     SpoolOptions options;
     options.spoolDir = tempDir();
@@ -147,7 +156,7 @@ TEST(CampaignResume, FinishedCampaignRerunSimulatesNothing)
     EXPECT_EQ(summary.simulated, 0u);
     EXPECT_EQ(summary.cacheHits, 4u);
     EXPECT_TRUE(summary.complete);
-    expectArchEqual(runCampaign(tc.entries, tc.suite, 0.2, 1), rerun);
+    expectArchEqual(serialReference(tc), rerun);
 }
 
 TEST(CampaignResume, KilledCampaignResumesToByteIdenticalReport)
@@ -156,8 +165,7 @@ TEST(CampaignResume, KilledCampaignResumesToByteIdenticalReport)
     const std::string spool = tempDir();
 
     // The uninterrupted serial reference, reported to JSON and CSV.
-    const auto golden =
-        runCampaign(tc.entries, tc.suite, 0.2, /*jobs=*/1);
+    const auto golden = serialReference(tc);
     const std::string golden_json = spool + "/../golden.json";
     const std::string golden_csv = spool + "/../golden.csv";
     ASSERT_TRUE(writeSuiteResultsJson(golden_json, golden));
@@ -281,7 +289,7 @@ TEST(CampaignResume, CorruptRecordsAreQuarantinedAndRecomputed)
         << "nothing corrupt may be served from cache";
     EXPECT_EQ(simulations.load(std::memory_order_relaxed), 4u);
     EXPECT_EQ(summary.cacheHits, 0u);
-    expectArchEqual(runCampaign(tc.entries, tc.suite, 0.2, 1),
+    expectArchEqual(serialReference(tc),
                     recovered);
 
     // Quarantined copies are kept for postmortem.
@@ -355,7 +363,7 @@ TEST(CampaignResume, DeadClaimBlocksWithoutResumeFlag)
     EXPECT_EQ(resumed.reclaimed, 1u);
     EXPECT_EQ(resumed.simulated, 1u);
     EXPECT_EQ(resumed.cacheHits, 3u);
-    expectArchEqual(runCampaign(tc.entries, tc.suite, 0.2, 1), results);
+    expectArchEqual(serialReference(tc), results);
 }
 
 TEST(CampaignMerge, MergeFailsClearlyWhenRecordsAreMissing)

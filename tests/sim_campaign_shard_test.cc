@@ -132,7 +132,9 @@ TEST(CampaignShard, TwoProcessesDrainOneSpoolDisjointly)
     EXPECT_TRUE(summary.complete);
     EXPECT_EQ(summary.cacheHits, total);
 
-    const auto golden = runCampaign(entries, suite, 0.2, /*jobs=*/8);
+    SpoolOptions in_memory;
+    in_memory.jobs = 8;
+    const auto golden = runCampaignSpooled(entries, suite, in_memory);
     const std::string merged_json = spool + "/merged.json";
     const std::string golden_json = spool + "/golden.json";
     ASSERT_TRUE(writeSuiteResultsJson(merged_json, merged));

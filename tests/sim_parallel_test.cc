@@ -1,20 +1,24 @@
 /**
  * @file
- * Golden determinism tests for the parallel experiment engine: for any
- * worker count, per-run SimStats must be bit-identical to the serial
- * harness and results must come back in suite order. This is the
- * serial-equivalence test the determinism policy (docs/ANALYSIS.md)
- * requires of every experiment engine.
+ * Golden determinism tests for the campaign executor
+ * (runCampaignSpooled): for any worker count, with or without a
+ * result spool, per-run SimStats must be bit-identical to the plain
+ * serial runSuite() reference and results must come back in suite
+ * order. This is the serial-equivalence test the determinism policy
+ * (docs/ANALYSIS.md) requires of the executor.
  */
 
-#include "sim/parallel.h"
+#include "sim/campaign_store.h"
 
 #include <cstdlib>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "prefetch/factory.h"
+#include "util/sync.h"
 
 namespace fdip
 {
@@ -35,6 +39,32 @@ tinySuite(std::size_t workloads = 3, std::size_t insts = 40000)
         suite.push_back(std::move(e));
     }
     return suite;
+}
+
+std::string
+tempDir()
+{
+    std::string tmpl = ::testing::TempDir() + "parallelXXXXXX";
+    char *raw = ::mkdtemp(tmpl.data());
+    EXPECT_NE(raw, nullptr);
+    return tmpl;
+}
+
+/** Runs one labeled config through the executor: in memory when
+ *  @p spool is empty, through that spool directory otherwise. */
+SuiteResult
+execute(const std::string &label, const CoreConfig &cfg,
+        const std::vector<SuiteEntry> &suite,
+        const PrefetcherFactory &make_prefetcher, unsigned jobs,
+        const std::string &spool = {})
+{
+    SpoolOptions options;
+    options.spoolDir = spool;
+    options.jobs = jobs;
+    auto results = runCampaignSpooled(
+        {CampaignEntry{label, cfg, make_prefetcher, label}}, suite,
+        options);
+    return std::move(results.front());
 }
 
 /** Asserts @p par is run-for-run bit-identical to @p serial. */
@@ -66,8 +96,8 @@ TEST(Parallel, GoldenBitIdenticalToSerialAcrossConfigs)
         const SuiteResult serial =
             runSuite("golden", cfg, suite, noPrefetcher());
         for (unsigned jobs : {1u, 2u, 8u}) {
-            const SuiteResult par = runSuiteParallel(
-                "golden", cfg, suite, noPrefetcher(), 0.2, jobs);
+            const SuiteResult par =
+                execute("golden", cfg, suite, noPrefetcher(), jobs);
             EXPECT_EQ(par.label, "golden");
             expectBitIdentical(serial, par);
         }
@@ -83,9 +113,8 @@ TEST(Parallel, GoldenBitIdenticalWithStatefulPrefetcher)
     const SuiteResult serial =
         runSuite("eip", paperBaselineConfig(), suite, eip);
     for (unsigned jobs : {1u, 2u, 8u}) {
-        expectBitIdentical(serial,
-                           runSuiteParallel("eip", paperBaselineConfig(),
-                                            suite, eip, 0.2, jobs));
+        expectBitIdentical(serial, execute("eip", paperBaselineConfig(),
+                                           suite, eip, jobs));
     }
 }
 
@@ -94,16 +123,15 @@ TEST(Parallel, GoldenBitIdenticalOnStandardSyntheticSuite)
     const auto suite = buildStandardSuite(20000, /*small=*/true);
     const SuiteResult serial =
         runSuite("std", paperBaselineConfig(), suite, noPrefetcher());
-    expectBitIdentical(serial,
-                       runSuiteParallel("std", paperBaselineConfig(),
-                                        suite, noPrefetcher(), 0.2, 2));
+    expectBitIdentical(serial, execute("std", paperBaselineConfig(), suite,
+                                       noPrefetcher(), 2));
 }
 
 TEST(Parallel, ResultsComeBackInSuiteOrder)
 {
     const auto suite = tinySuite(5, 15000);
-    const SuiteResult par = runSuiteParallel(
-        "order", paperBaselineConfig(), suite, noPrefetcher(), 0.2, 8);
+    const SuiteResult par =
+        execute("order", paperBaselineConfig(), suite, noPrefetcher(), 8);
     ASSERT_EQ(par.runs.size(), suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i)
         EXPECT_EQ(par.runs[i].workload, suite[i].name);
@@ -113,9 +141,8 @@ TEST(Parallel, EmptySuiteReturnsEmptyResult)
 {
     const std::vector<SuiteEntry> empty;
     for (unsigned jobs : {1u, 8u}) {
-        const SuiteResult par = runSuiteParallel(
-            "empty", paperBaselineConfig(), empty, noPrefetcher(), 0.2,
-            jobs);
+        const SuiteResult par = execute("empty", paperBaselineConfig(),
+                                        empty, noPrefetcher(), jobs);
         EXPECT_EQ(par.label, "empty");
         EXPECT_TRUE(par.runs.empty());
     }
@@ -126,9 +153,8 @@ TEST(Parallel, MoreJobsThanWorkStillExact)
     const auto suite = tinySuite(2, 15000);
     const SuiteResult serial =
         runSuite("tiny", paperBaselineConfig(), suite, noPrefetcher());
-    expectBitIdentical(serial,
-                       runSuiteParallel("tiny", paperBaselineConfig(),
-                                        suite, noPrefetcher(), 0.2, 8));
+    expectBitIdentical(serial, execute("tiny", paperBaselineConfig(),
+                                       suite, noPrefetcher(), 8));
 }
 
 TEST(Parallel, CampaignMatchesPerConfigSerialRuns)
@@ -145,7 +171,10 @@ TEST(Parallel, CampaignMatchesPerConfigSerialRuns)
     const std::size_t d = c.add("ghr3", ghr3, noPrefetcher());
     ASSERT_EQ(c.size(), 3u);
 
-    const auto results = c.run(4);
+    SpoolOptions options;
+    options.jobs = 4;
+    const auto results =
+        runCampaignSpooled(c.entries(), c.suite(), options);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[a].label, "fdp");
     EXPECT_EQ(results[b].label, "nofdp");
@@ -168,12 +197,60 @@ TEST(Parallel, CampaignHonorsFdipJobsEnv)
     c.add("fdp", paperBaselineConfig(), noPrefetcher());
 
     ::setenv("FDIP_JOBS", "2", 1);
-    const auto par = c.run(/*jobs=*/0);
+    const auto par = runCampaignSpooled(c.entries(), c.suite(),
+                                        SpoolOptions{}); // jobs = 0
     ::unsetenv("FDIP_JOBS");
 
     expectBitIdentical(
         runSuite("fdp", paperBaselineConfig(), suite, noPrefetcher()),
         par[0]);
+}
+
+TEST(Parallel, SpooledExecutorBitIdenticalToSerial)
+{
+    const auto suite = tinySuite(3, 20000);
+    CoreConfig ghr3 = paperBaselineConfig();
+    ghr3.historyScheme = HistoryScheme::kGhr3;
+    const SuiteResult serial = runSuite("ghr3", ghr3, suite, noPrefetcher());
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        // A cold spool simulates every run; a warm one serves every
+        // run from its records. Both must match the serial reference.
+        const std::string spool = tempDir();
+        expectBitIdentical(
+            serial, execute("ghr3", ghr3, suite, noPrefetcher(), jobs, spool));
+        expectBitIdentical(
+            serial, execute("ghr3", ghr3, suite, noPrefetcher(), jobs, spool));
+    }
+}
+
+TEST(Parallel, InMemoryDrainSimulatesAndReportsEveryRun)
+{
+    const auto suite = tinySuite(2, 15000);
+    Campaign c(suite);
+    c.add("fdp", paperBaselineConfig(), noPrefetcher());
+    c.add("nofdp", noFdpConfig(), noPrefetcher());
+
+    for (unsigned jobs : {1u, 4u}) {
+        Atomic<std::size_t> simulations{0};
+        SpoolOptions options; // Empty spoolDir: no spool.
+        options.jobs = jobs;
+        options.onSimulate = [&](std::size_t, std::size_t) {
+            simulations.fetchAdd(1, std::memory_order_relaxed);
+        };
+        SpoolSummary summary;
+        const auto results =
+            runCampaignSpooled(c.entries(), c.suite(), options, &summary);
+        EXPECT_EQ(summary.totalRuns, 4u);
+        EXPECT_EQ(summary.simulated, 4u);
+        EXPECT_EQ(summary.cacheHits, 0u);
+        EXPECT_EQ(summary.claimedElsewhere, 0u);
+        EXPECT_TRUE(summary.complete);
+        EXPECT_EQ(simulations.load(std::memory_order_relaxed), 4u);
+        ASSERT_EQ(results.size(), 2u);
+        for (const SuiteResult &r : results)
+            for (const RunResult &run : r.runs)
+                EXPECT_GT(run.stats.committedInsts, 0u) << r.label;
+    }
 }
 
 TEST(Parallel, WorkerExceptionPropagatesToCaller)
@@ -184,17 +261,17 @@ TEST(Parallel, WorkerExceptionPropagatesToCaller)
         throw std::runtime_error("boom");
     };
     for (unsigned jobs : {1u, 4u}) {
-        EXPECT_THROW(runSuiteParallel("boom", paperBaselineConfig(),
-                                      suite, boom, 0.2, jobs),
-                     std::runtime_error);
+        EXPECT_THROW(
+            execute("boom", paperBaselineConfig(), suite, boom, jobs),
+            std::runtime_error);
     }
 }
 
 TEST(Parallel, HostTelemetryIsFilledButExcludedFromEquality)
 {
     const auto suite = tinySuite(1, 15000);
-    const SuiteResult r = runSuiteParallel(
-        "tel", paperBaselineConfig(), suite, noPrefetcher(), 0.2, 1);
+    const SuiteResult r =
+        execute("tel", paperBaselineConfig(), suite, noPrefetcher(), 1);
     ASSERT_EQ(r.runs.size(), 1u);
     EXPECT_GT(r.runs[0].stats.hostWallSeconds, 0.0);
     EXPECT_GT(r.runs[0].stats.hostInstrsPerSecond(), 0.0);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "check/certify.h"
-#include "prefetch/factory.h"
 #include "sim/campaign_presets.h"
 #include "sim/campaign_store.h"
 #include "sim/experiment.h"
@@ -92,7 +91,7 @@ usage()
         "  --merge            assemble + verify the report from spool\n"
         "                     records only (no simulation); exit 1 if\n"
         "                     any manifest entry lacks a record\n"
-        "  --jobs N           worker threads for --campaign (FDIP_JOBS)\n"
+        "  --jobs N           worker threads, in every mode (FDIP_JOBS)\n"
         "  Campaign workloads come from --workload suite|suite-small,\n"
         "  --insts, and --warmup-frac; reports from --json/--csv.\n"
         "\n"
@@ -297,8 +296,10 @@ campaignMain(const Options &opt)
         buildCampaignEntries(opt.campaign);
     const std::vector<SuiteEntry> suite =
         buildStandardSuite(opt.insts, opt.workload == "suite-small");
+    // Campaign mode always drains through a spool: no spool is fatal
+    // here rather than a silent in-memory run.
     const std::string spool =
-        opt.spoolDir.empty() ? spoolFromEnv() : opt.spoolDir;
+        openSpool(opt.spoolDir.empty() ? spoolFromEnv() : opt.spoolDir);
 
     SpoolSummary summary;
     std::vector<SuiteResult> results;
@@ -397,17 +398,21 @@ main(int argc, char **argv)
     opt.cfg.obs.traceExactPath =
         suite.size() == 1 && !opt.compareBaseline;
 
-    std::vector<SuiteResult> results;
-    results.push_back(runSuite(
-        "config", opt.cfg, suite,
-        [&](const Trace &) { return makePrefetcher(opt.prefetcher); },
-        opt.warmupFrac));
+    std::vector<CampaignEntry> entries;
+    entries.push_back(CampaignEntry{"config", opt.cfg,
+                                    namedPrefetcher(opt.prefetcher),
+                                    opt.prefetcher});
     if (opt.compareBaseline) {
         CoreConfig base = noFdpConfig();
         base.obs = opt.cfg.obs;
-        results.push_back(runSuite("baseline", base, suite,
-                                   noPrefetcher(), opt.warmupFrac));
+        entries.push_back(
+            CampaignEntry{"baseline", base, noPrefetcher(), "none"});
     }
+    SpoolOptions options; // No spool: every run simulates in memory.
+    options.warmupFraction = opt.warmupFrac;
+    options.jobs = opt.jobs;
+    const std::vector<SuiteResult> results =
+        runCampaignSpooled(entries, suite, options);
 
     TextTable t({"result", "workload", "IPC", "MPKI", "starv/KI",
                  "tags/KI"});
