@@ -61,10 +61,11 @@ BENCHMARK(BM_BtbLookup)->Arg(1024)->Arg(8192)->Arg(32768);
 void
 BM_HistoryPushSnapshot(benchmark::State &state)
 {
+    // The simulator's view set: a baseline TAGE plus ITTAGE register
+    // 54 views over 33 distinct images.
     BranchHistory hist(HistoryPolicy::kTargetHistory);
-    // Register the fold population of TAGE + ITTAGE.
-    for (int i = 0; i < 54; ++i)
-        hist.registerFold(8 + i * 9, 10);
+    const Tage tage(TageConfig::sized(18), hist);
+    const Ittage ittage(IttageConfig{}, hist);
     Rng rng(3);
     for (auto _ : state) {
         hist.pushBranch(rng.next(), rng.next(), true);

@@ -110,9 +110,7 @@ class Frontend
     /** Records a prediction-time divergence at trace position
      *  tracePos_; computes the post-correction repair snapshots. */
     void recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
-                          const StaticInst &si, bool detected,
-                          std::uint8_t cause,
-                          const RasSnapshot &pre_ras_snap);
+                          const StaticInst &si, std::uint8_t cause);
     /// @}
 
     /// @{ Fetch helpers.

@@ -55,9 +55,12 @@ struct BlockEvent
 };
 
 /**
- * An FTQ entry: one 32B-aligned instruction block.
+ * The per-block fields of an FtqEntry: everything prediction sets up
+ * afresh for every block. Split out so an FTQ slot is reinitialised in
+ * place by one small assignment (Ftq::openTail()), without touching the
+ * history checkpoint or the event array.
  */
-struct FtqEntry
+struct FtqBlockState
 {
     /// @{ Architectural fields (Table III; 65 bits total).
     Addr startAddr = kNoAddr;     ///< 48-bit instruction start address.
@@ -69,10 +72,8 @@ struct FtqEntry
     /// @}
 
     /// @{ Prediction-time context for repair (models checkpointing).
-    HistorySnapshot histSnap;     ///< History before this block.
     RasSnapshot rasSnap;          ///< RAS recovery state before block.
-    std::array<BlockEvent, kInstsPerBlock> events{};
-    std::uint8_t numEvents = 0;
+    std::uint8_t numEvents = 0;   ///< Valid prefix of FtqEntry::events.
     std::uint8_t detectedMask = 0; ///< BTB-hit bitmap (for GHR fixup).
     /// @}
 
@@ -88,6 +89,17 @@ struct FtqEntry
     /** Offset of the instruction where the predicted stream diverged
      *  from the trace (255 = none); later offsets are wrong-path. */
     std::uint8_t divergeOffset = 255;
+    /// @}
+};
+
+/**
+ * An FTQ entry: one 32B-aligned instruction block.
+ */
+struct FtqEntry : FtqBlockState
+{
+    /// @{ Checkpoints overwritten while predicting the block.
+    HistorySnapshot histSnap;     ///< History before this block.
+    std::array<BlockEvent, kInstsPerBlock> events{}; ///< [0, numEvents).
     /// @}
 
     /** Offset of @p pc within this 32B block. */
@@ -155,6 +167,26 @@ class Ftq
                    q_.capacity());
         q_.pushBack(std::move(e));
     }
+
+    /**
+     * Opens the tail slot for building the next entry in place: its
+     * per-block state is reset, and its history checkpoint and event
+     * array are left for the caller to overwrite. The entry joins the
+     * queue at commitTail(); until then it is not part of the FTQ.
+     */
+    FDIP_HOT_PATH FtqEntry &
+    openTail() FDIP_HOT_NOEXCEPT
+    {
+        FDIP_CHECK(!q_.full(),
+                   "FTQ overflow: occupancy %zu at capacity %zu", q_.size(),
+                   q_.capacity());
+        FtqEntry &e = q_.tailSlot();
+        static_cast<FtqBlockState &>(e) = FtqBlockState{};
+        return e;
+    }
+
+    /** Appends the entry built in the slot openTail() returned. */
+    FDIP_HOT_PATH void commitTail() FDIP_HOT_NOEXCEPT { q_.commitTail(); }
     FDIP_HOT_PATH void popHead() FDIP_HOT_NOEXCEPT { q_.popFront(); }
     FDIP_HOT_PATH FtqEntry &at(std::size_t i) FDIP_HOT_NOEXCEPT
     {

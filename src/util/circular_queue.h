@@ -58,6 +58,28 @@ class CircularQueue
         ++size_;
     }
 
+    /**
+     * The slot the next pushBack() would fill, for building an element
+     * in place; it joins the queue at commitTail(). The queue must not
+     * be full.
+     */
+    [[nodiscard]] FDIP_HOT_PATH T &
+    tailSlot() FDIP_HOT_NOEXCEPT
+    {
+        FDIP_CHECK(!full(), "tail slot of a full queue (capacity %zu)",
+                   capacity());
+        return buf_[physIndex(size_)];
+    }
+
+    /** Appends the element built in tailSlot(). */
+    FDIP_HOT_PATH void
+    commitTail() FDIP_HOT_NOEXCEPT
+    {
+        FDIP_CHECK(!full(), "commit onto a full queue (capacity %zu)",
+                   capacity());
+        ++size_;
+    }
+
     /** Removes the head element. The queue must not be empty. */
     FDIP_HOT_PATH void
     popFront() FDIP_HOT_NOEXCEPT

@@ -157,17 +157,75 @@ TEST(History, OldEventsLeaveTheWindow)
 
 TEST(History, TooManyFoldsIsFatal)
 {
+    // Distinct geometries: identical views would share one image.
     BranchHistory h(HistoryPolicy::kTargetHistory);
-    for (std::size_t i = 0; i < HistorySnapshot::kMaxFolds; ++i)
-        h.registerFold(16, 8);
-    EXPECT_DEATH({ h.registerFold(16, 8); }, "folded history");
+    for (unsigned i = 0; i < HistorySnapshot::kMaxImages; ++i)
+        h.registerFold(16 + i, 8);
+    EXPECT_EQ(h.numImages(), HistorySnapshot::kMaxImages);
+    EXPECT_DEATH({ h.registerFold(16, 9); }, "folded history");
+}
+
+TEST(History, EqualViewsShareOneImage)
+{
+    BranchHistory h(HistoryPolicy::kTargetHistory);
+    const unsigned a = h.registerFold(40, 10);
+    const unsigned b = h.registerFold(40, 9);
+    const unsigned c = h.registerFold(40, 10);
+    EXPECT_EQ(h.numFolds(), 3u);
+    EXPECT_EQ(h.numImages(), 2u);
+    EXPECT_EQ(h.imageOf(a), h.imageOf(c));
+    EXPECT_NE(h.imageOf(a), h.imageOf(b));
+    // The budget still charges every view.
+    EXPECT_EQ(h.storageBits(), 29u);
+    Rng rng(41);
+    for (int i = 0; i < 100; ++i) {
+        h.pushBranch(rng.next(), rng.next(), true);
+        EXPECT_EQ(h.folded(a), h.folded(c));
+        EXPECT_EQ(h.images()[h.imageOf(b)], h.folded(b));
+    }
+}
+
+TEST(History, ZeroWidthFoldIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    EXPECT_DEATH({ h.registerFold(16, 0); }, "folded history width 0");
+}
+
+TEST(History, WideFoldIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(64, 31);
+    EXPECT_DEATH({ h.registerFold(64, 32); }, "folded history width 32");
+    EXPECT_DEATH({ h.registerFold(64, 40); }, "folded history width 40");
+}
+
+TEST(History, FoldNarrowerThanEventIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kTargetHistory);
+    ASSERT_EQ(h.bitsPerEvent(), 2u);
+    h.registerFold(16, 2);
+    EXPECT_DEATH({ h.registerFold(16, 1); }, "folded history width 1");
+}
+
+TEST(History, RegisteringAfterPushIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(16, 8);
+    h.pushBranch(0x1000, 0x2000, true);
+    EXPECT_DEATH({ h.registerFold(16, 8); }, "before the first push");
+}
+
+TEST(History, DirectionHistoryIsOneBitPerEvent)
+{
+    EXPECT_DEATH({ BranchHistory h(HistoryPolicy::kDirectionHistory, 2); },
+                 "1 bit per event");
 }
 
 TEST(History, SnapshotIsCheap)
 {
     // Snapshots must not allocate (fixed-size struct).
     static_assert(sizeof(HistorySnapshot) <=
-                      32 + 4 * HistorySnapshot::kMaxFolds,
+                      16 + 4 * HistorySnapshot::kMaxImages,
                   "snapshot grew unexpectedly");
     SUCCEED();
 }

@@ -97,6 +97,14 @@ TEST(Ittage, MultipleSitesIndependent)
     EXPECT_LT(wrong, 30);
 }
 
+TEST(Ittage, OneBitTagIsFatal)
+{
+    BranchHistory hist(HistoryPolicy::kDirectionHistory);
+    IttageConfig cfg;
+    cfg.tagBits = 1;
+    EXPECT_DEATH({ Ittage itt(cfg, hist); }, "folded history width 0");
+}
+
 TEST(Ittage, StorageAccounting)
 {
     BranchHistory hist(HistoryPolicy::kTargetHistory);

@@ -152,6 +152,16 @@ TEST(Tage, RejectsUnknownSize)
     EXPECT_DEATH({ TageConfig::sized(17); }, "unsupported TAGE size");
 }
 
+TEST(Tage, OneBitTagIsFatal)
+{
+    // The second tag fold is tagBits - 1 wide: a 1-bit tag would need a
+    // zero-width fold.
+    BranchHistory hist(HistoryPolicy::kDirectionHistory);
+    TageConfig cfg = TageConfig::sized(9);
+    cfg.tagBits = 1;
+    EXPECT_DEATH({ Tage t(cfg, hist); }, "folded history width 0");
+}
+
 TEST(Tage, HistoryLengthsAreGeometric)
 {
     BranchHistory hist(HistoryPolicy::kTargetHistory);
