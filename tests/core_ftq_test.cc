@@ -74,6 +74,48 @@ TEST(Ftq, FifoAndTruncate)
     EXPECT_TRUE(ftq.empty());
 }
 
+TEST(Ftq, OpenTailReusesSlotWithFreshBlockState)
+{
+    // Fill both slots of a 2-entry FTQ, then reuse the first slot in
+    // place: every per-block field starts from its default again.
+    Ftq ftq(2);
+    for (int i = 0; i < 2; ++i) {
+        FtqEntry &e = ftq.openTail();
+        e.startAddr = 0x1000 + 0x20 * i;
+        e.predictedTaken = true;
+        e.termOffset = 3;
+        e.state = FtqState::kReady;
+        e.dirHints = 0xff;
+        e.numEvents = 4;
+        e.detectedMask = 0x0f;
+        e.seq = 7;
+        e.divergeOffset = 2;
+        e.predecoded = true;
+        EXPECT_EQ(ftq.size(), static_cast<std::size_t>(i));
+        ftq.commitTail();
+    }
+    EXPECT_TRUE(ftq.full());
+    EXPECT_EQ(ftq.at(1).startAddr, 0x1020u);
+
+    ftq.popHead();
+    FtqEntry &e = ftq.openTail();
+    const FtqBlockState fresh;
+    EXPECT_EQ(e.startAddr, fresh.startAddr);
+    EXPECT_EQ(e.predictedTaken, fresh.predictedTaken);
+    EXPECT_EQ(e.termOffset, fresh.termOffset);
+    EXPECT_EQ(e.state, fresh.state);
+    EXPECT_EQ(e.dirHints, fresh.dirHints);
+    EXPECT_EQ(e.numEvents, fresh.numEvents);
+    EXPECT_EQ(e.detectedMask, fresh.detectedMask);
+    EXPECT_EQ(e.seq, fresh.seq);
+    EXPECT_EQ(e.divergeOffset, fresh.divergeOffset);
+    EXPECT_EQ(e.predecoded, fresh.predecoded);
+    EXPECT_EQ(ftq.size(), 1u); // Not in the queue until committed.
+    e.startAddr = 0x2000;
+    ftq.commitTail();
+    EXPECT_EQ(ftq.at(1).startAddr, 0x2000u);
+}
+
 TEST(Ftq, StateEnumMatchesPaperEncoding)
 {
     // Paper Section IV-A: 0 invalid, 1 predicted, 2 filling, 3 ready.
