@@ -123,6 +123,20 @@ TEST(Btb, Invalidate)
     EXPECT_FALSE(btb.lookup(0x1000).has_value());
 }
 
+TEST(Btb, NoAddrNeverMatchesAnInvalidWay)
+{
+    // kNoAddr is the invalid-way tag: probing for it must still miss,
+    // and it is never installed.
+    Btb btb(smallConfig());
+    EXPECT_FALSE(btb.lookup(kNoAddr).has_value());
+    btb.install(kNoAddr, InstClass::kJumpDirect, 0x2000, true);
+    EXPECT_EQ(btb.allocations(), 0u);
+    EXPECT_FALSE(btb.peek(kNoAddr).has_value());
+    btb.install(0x1000, InstClass::kJumpDirect, 0x2000, true);
+    btb.invalidate(0x1000);
+    EXPECT_FALSE(btb.peek(kNoAddr).has_value());
+}
+
 TEST(Btb, StorageBytesFollowsPaperEstimate)
 {
     BtbConfig cfg;
