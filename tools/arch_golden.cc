@@ -6,8 +6,9 @@
  * thread counts within one build.
  *
  * The set covers every history scheme (GHR0-3, THR, Ideal), the no-FDP
- * baseline, the FTQ sweep, the prefetchers, BTB sizes and all three
- * TAGE sizes, on the small suite at a short instruction count.
+ * baseline, the FTQ sweep, the prefetchers, BTB sizes, all three TAGE
+ * sizes and the frontend's other repair and fetch modes, on the small
+ * suite at a short instruction count.
  *
  *   arch_golden --check  tests/data/arch_golden.json   # exit 1 on drift
  *   arch_golden --update tests/data/arch_golden.json   # rewrite
@@ -57,6 +58,75 @@ tageSizeCampaign()
     return out;
 }
 
+/** Frontend modes no preset pins, one config each: PFC variants, GHR
+ *  fixups without PFC, BTB and indirect oracles, the two-level BTB,
+ *  the prefetch buffer, perfect prefetch/I-cache, the wide predict
+ *  stage and gshare. Each drives a distinct repair or fetch path. */
+std::vector<CampaignEntry>
+frontendModesCampaign()
+{
+    std::vector<CampaignEntry> out;
+    const auto add = [&out](std::string label, CoreConfig cfg,
+                            const std::string &prefetcher = "none") {
+        out.push_back(CampaignEntry{std::move(label), std::move(cfg),
+                                    namedPrefetcher(prefetcher),
+                                    prefetcher});
+    };
+
+    CoreConfig cfg = paperBaselineConfig();
+    cfg.pfcEnabled = false;
+    add("PFC-off", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.pfcUnconditionalOnly = true;
+    add("PFC-uncond-only", cfg);
+
+    for (HistoryScheme scheme : {HistoryScheme::kGhr2, HistoryScheme::kGhr3,
+                                 HistoryScheme::kIdeal}) {
+        cfg = paperBaselineConfig();
+        cfg.historyScheme = scheme;
+        cfg.pfcEnabled = false;
+        add(std::string(historySchemeName(scheme)) + "-PFC-off", cfg);
+    }
+
+    cfg = paperBaselineConfig();
+    cfg.historyScheme = HistoryScheme::kGhr3;
+    cfg.bpu.btb.numEntries = 1024;
+    add("GHR3-BTB-1K", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.bpu.perfectBtb = true;
+    add("perfect-BTB", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.bpu.perfectIndirect = true;
+    add("perfect-indirect", cfg);
+
+    add("two-level-BTB", twoLevelBtbConfig());
+
+    cfg = paperBaselineConfig();
+    cfg.usePrefetchBuffer = true;
+    add("FDP+NL1-prefetch-buffer", cfg, "nl1");
+
+    cfg = noFdpConfig();
+    cfg.perfectPrefetch = true;
+    add("noFDP-perfect-prefetch", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.perfectICache = true;
+    add("perfect-icache", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.predictBandwidth = 18;
+    cfg.maxTakenPerCycle = 2;
+    add("B18m", cfg);
+
+    cfg = paperBaselineConfig();
+    cfg.bpu.direction = DirectionPredictorKind::kGshare;
+    add("gshare", cfg);
+    return out;
+}
+
 /** Simulates every pinned run and renders the golden file's text:
  *  one run per line so a drift diffs to exactly the runs it moved. */
 std::string
@@ -69,6 +139,7 @@ renderGolden()
     for (const char *preset : kPresets)
         sets.emplace_back(preset, buildCampaignEntries(preset));
     sets.emplace_back("tage_size", tageSizeCampaign());
+    sets.emplace_back("frontend_modes", frontendModesCampaign());
 
     std::string out = "{\"fdipArchGolden\": 1, \"suite\": \"small\", "
                       "\"instsPerTrace\": " +
