@@ -420,7 +420,9 @@ class TextualFileParser:
             elif angle == 0:
                 if v == "{":
                     break
-                if v in (";", ")", ",", "=", "&", "*"):
+                # A ',' after the ':' separates bases.
+                if v in (";", ")", "=", "&", "*") or (
+                        v == "," and colon_at < 0):
                     return False    # fwd decl / param / elaborated use
                 if v == "final":
                     is_final = True

@@ -347,6 +347,13 @@ class HotgraphClosure(LintAssertions):
     def test_clean_tree_is_clean(self):
         self.assertEqual(hotgraph_findings("clean"), [])
 
+    def test_multi_base_class_is_indexed(self):
+        # The clean tree's slot.h: were fdip::Slot dropped, its width()
+        # call would bind to the unannotated fdip::Catalog::width.
+        prog = hg_textual.index_tree(HOTGRAPH / "clean")
+        bases = {c.qname: c.bases for c in prog.all_classes()}
+        self.assertEqual(bases.get("fdip::Slot"), ["SlotHead", "SlotBody"])
+
     def test_transitive_alloc_unannotated_helper(self):
         findings = hotgraph_findings("dirty-transitive-alloc")
         self.assertFinding(findings, "src/util/table.h",
