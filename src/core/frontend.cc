@@ -158,12 +158,6 @@ Frontend::forgetEvicted(Addr evicted_line)
 // ---------------------------------------------------------------------
 
 FDIP_HOT_PATH void
-Frontend::pushHistoryEvent(Addr pc, Addr target, bool taken)
-{
-    bpu_.history().pushBranch(pc, target, taken);
-}
-
-FDIP_HOT_PATH void
 Frontend::predictCycle(Cycle now)
 {
     if (now < predStallUntil_)
@@ -193,7 +187,7 @@ Frontend::predictCycle(Cycle now)
 
         std::uint8_t off = e.startOffset();
         for (;;) {
-            const ScanResult r = scanInst(e, off, now);
+            const ScanResult r = scanInst(e, off);
             --budget;
 
             if (r.predTaken) {
@@ -241,9 +235,8 @@ Frontend::predictCycle(Cycle now)
 }
 
 FDIP_HOT_PATH Frontend::ScanResult
-Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
+Frontend::scanInst(FtqEntry &entry, std::uint8_t offset)
 {
-    (void)now;
     const Addr pc = entry.pcAt(offset);
     const StaticInst &si = image_.instAt(pc);
     const bool have_oracle = onCorrectPath_;
@@ -369,43 +362,25 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
             } else {
                 cause = kCauseTarget;
             }
-            recordDivergence(entry, offset, pc, si, cause);
+            recordDivergence(entry, offset, tracePos_, cause);
         } else {
             ++tracePos_;
         }
     }
 
-    // ---- Modeled history update (per policy) + block event record.
-    bool pushed = false;
-    bool event_taken = r.predTaken;
-    switch (bpu_.history().policy()) {
-      case HistoryPolicy::kTargetHistory:
-        if (detected && r.predTaken) {
-            pushHistoryEvent(pc, r.target, true);
-            pushed = true;
-            event_taken = true;
-        }
-        break;
-      case HistoryPolicy::kDirectionHistory:
-        if (detected) {
-            pushHistoryEvent(pc, r.target, r.predTaken);
-            pushed = true;
-        }
-        break;
-      case HistoryPolicy::kIdealDirectionHistory:
-        if (have_oracle) {
-            // Oracle detection: every actual branch updates history.
-            if (isBranch(si.cls)) {
-                pushHistoryEvent(pc, r.target, actual_taken);
-                pushed = true;
-                event_taken = actual_taken;
-            }
-        } else if (detected) {
-            pushHistoryEvent(pc, r.target, r.predTaken);
-            pushed = true;
-        }
-        break;
-    }
+    // ---- Modeled history update + block event record. The history
+    // sees the BTB-detected branches with their predicted direction;
+    // Ideal history on the correct path sees every actual branch with
+    // its actual direction instead (oracle detection).
+    BranchHistory &history = bpu_.history();
+    const bool oracle_history =
+        have_oracle &&
+        history.policy() == HistoryPolicy::kIdealDirectionHistory;
+    const bool seen = oracle_history ? isBranch(si.cls) : detected;
+    const bool event_taken = oracle_history ? actual_taken : r.predTaken;
+    const bool pushed = seen && history.recordsEvent(event_taken);
+    if (pushed)
+        history.pushBranch(pc, r.target, event_taken);
 
     // A taken re-steer served from the L2 BTB arrives late: charge the
     // prediction pipeline the configured bubble (two-level extension).
@@ -416,50 +391,32 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
 
     if (pushed || (detected && r.predTaken &&
                    (isCall(hit.kind) || isReturn(hit.kind)))) {
-        BlockEvent ev;
-        ev.pc = pc;
-        ev.target = r.target;
-        ev.offset = offset;
-        ev.kind = detected ? hit.kind : si.cls;
-        ev.taken = event_taken;
-        ev.pushedHistory = pushed;
-        entry.events[entry.numEvents++] = ev;
+        entry.record(BlockEvent{pc, r.target, offset,
+                                detected ? hit.kind : si.cls, event_taken,
+                                pushed});
     }
 
     return r;
 }
 
 FDIP_HOT_PATH void
-Frontend::recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
-                           const StaticInst &si, std::uint8_t cause)
+Frontend::recordDivergence(FtqEntry &entry, std::uint8_t offset,
+                           InstSeq trace_idx, std::uint8_t cause)
 {
-    const DynInst &d = trace_.insts[tracePos_];
+    const Addr pc = entry.pcAt(offset);
+    const StaticInst &si = image_.instAt(pc);
+    const DynInst &d = trace_.insts[trace_idx];
     const bool actual_taken = d.taken != 0;
 
     PendingDivergence p;
     p.token = nextToken_++;
-    p.traceIdx = tracePos_;
+    p.traceIdx = trace_idx;
     p.correctNext = actual_taken ? d.info : pc + kInstBytes;
     p.cause = cause;
-
-    // Repair context: the owning block's snapshots plus the event
-    // prefix recorded so far (all strictly before this instruction),
-    // plus the corrected event itself.
-    p.blockHistSnap = entry.histSnap;
-    p.blockRasSnap = entry.rasSnap;
-    p.numPrefix = entry.numEvents;
-    for (unsigned i = 0; i < entry.numEvents; ++i)
-        p.prefix[i] = entry.events[i];
-
-    const HistoryPolicy pol = bpu_.history().policy();
-    p.corrected.pc = pc;
-    p.corrected.target = actual_taken ? d.info : si.target;
-    p.corrected.offset = offset;
-    p.corrected.kind = si.cls;
-    p.corrected.taken = actual_taken;
-    p.corrected.pushedHistory =
-        (pol == HistoryPolicy::kTargetHistory && actual_taken) ||
-        (pol != HistoryPolicy::kTargetHistory && isBranch(si.cls));
+    p.checkpoint = entry;
+    p.checkpoint.record(BlockEvent{
+        pc, actual_taken ? d.info : si.target, offset, si.cls, actual_taken,
+        isBranch(si.cls) && bpu_.history().recordsEvent(actual_taken)});
 
     entry.divergeOffset = offset;
     onCorrectPath_ = false;
@@ -763,7 +720,7 @@ FDIP_HOT_PATH void
 Frontend::replayEvent(const BlockEvent &ev)
 {
     if (ev.pushedHistory)
-        pushHistoryEvent(ev.pc, ev.target, ev.taken);
+        bpu_.history().pushBranch(ev.pc, ev.target, ev.taken);
     if (ev.taken && isCall(ev.kind))
         bpu_.ras().push(ev.pc + kInstBytes);
     else if (ev.taken && isReturn(ev.kind))
@@ -771,16 +728,29 @@ Frontend::replayEvent(const BlockEvent &ev)
 }
 
 FDIP_HOT_PATH void
-Frontend::rewindToPrefix(const FtqEntry &entry, std::uint8_t offset)
+Frontend::rewind(const BlockCheckpoint &cp, std::uint8_t before)
 {
-    bpu_.history().restore(entry.histSnap);
-    bpu_.ras().restore(entry.rasSnap);
-    for (unsigned i = 0; i < entry.numEvents; ++i) {
-        const BlockEvent &ev = entry.events[i];
-        if (ev.offset >= offset)
-            break;
-        replayEvent(ev);
+    bpu_.history().restore(cp.histSnap);
+    bpu_.ras().restore(cp.rasSnap);
+    for (unsigned i = 0; i < cp.numEvents && cp.events[i].offset < before;
+         ++i) {
+        replayEvent(cp.events[i]);
     }
+}
+
+FDIP_HOT_PATH void
+Frontend::applyBelief(FtqEntry &entry, const BlockEvent &ev)
+{
+    entry.record(ev);
+    replayEvent(ev);
+}
+
+FDIP_HOT_PATH void
+Frontend::redirect(Addr pc, Cycle now)
+{
+    predPc_ = pc;
+    predStallUntil_ = now + 1;
+    redirectShadowUntil_ = now + cfg_.btbLatency + 1;
 }
 
 FDIP_HOT_PATH void
@@ -792,104 +762,48 @@ Frontend::triggerPfc(FtqEntry &entry, std::uint8_t offset,
 
     // Rebuild speculative state to just before the PFC branch, then
     // apply the PFC belief: this branch is taken.
-    rewindToPrefix(entry, offset);
-
-    Addr target;
+    rewind(entry, offset);
+    Addr target = si.target;
     if (isReturn(si.cls)) {
-        target = bpu_.ras().pop();
+        target = bpu_.ras().top();
         if (target == kNoAddr)
             target = pc + kInstBytes;
-    } else {
-        target = si.target;
     }
-    if (isCall(si.cls))
-        bpu_.ras().push(pc + kInstBytes);
-    pushHistoryEvent(pc, target, true);
+    applyBelief(entry, BlockEvent{pc, target, offset, si.cls, true, true});
 
     FDIP_TRACE_EVENT(tracer_,
                      instant("pfc_fire", "pfc", kTraceTidFetch, now,
                              {{"pc", pc}, {"target", target}}));
 
-    // Truncate this entry at the PFC branch and flush younger entries.
+    // Truncate this entry (the head during pre-decode) at the PFC
+    // branch and flush younger entries.
     entry.termOffset = offset;
     entry.predictedTaken = true;
-
-    // Find this entry's position (it is the head during pre-decode).
     ftq_.truncateAfter(1);
+    redirect(target, now);
 
-    predPc_ = target;
-    predStallUntil_ = now + 1;
-    redirectShadowUntil_ = now + cfg_.btbLatency + 1;
-
-    // Oracle accounting.
-    const bool inst_correct =
-        entry.onCorrectPath && offset <= entry.divergeOffset;
-    if (inst_correct) {
-        const InstSeq j = entry.traceIdx + (offset - entry.startOffset());
-        const DynInst &d = trace_.insts[j];
-        const bool actual_taken = d.taken != 0;
-        const Addr actual_next =
-            actual_taken ? d.info : pc + kInstBytes;
-        if (pending_.has_value() && !pending_->delivered)
-            pending_.reset();
-        if (actual_taken && actual_next == target) {
-            ++stats_.pfcCorrect;
-            onCorrectPath_ = true;
-            tracePos_ = j + 1;
-            // The PFC branch itself resolved early: clear any stale
-            // divergence bookkeeping on this entry.
-            if (entry.divergeOffset == offset)
-                entry.divergeOffset = 255;
-        } else {
-            ++stats_.pfcWrong;
-            onCorrectPath_ = false;
-            // The PFC mis-steered a branch whose fall-through (or a
-            // different target) was correct: execute-time resolution.
-            PendingDivergence p;
-            p.token = nextToken_++;
-            p.traceIdx = j;
-            p.correctNext = actual_next;
-            p.cause = kCausePfcMisfire;
-            p.blockHistSnap = entry.histSnap;
-            p.blockRasSnap = entry.rasSnap;
-            p.numPrefix = 0;
-            for (unsigned i = 0; i < entry.numEvents; ++i) {
-                if (entry.events[i].offset >= offset)
-                    break;
-                p.prefix[p.numPrefix++] = entry.events[i];
-            }
-            const HistoryPolicy pol = bpu_.history().policy();
-            p.corrected.pc = pc;
-            p.corrected.target = actual_taken ? d.info : si.target;
-            p.corrected.offset = offset;
-            p.corrected.kind = si.cls;
-            p.corrected.taken = actual_taken;
-            p.corrected.pushedHistory =
-                (pol == HistoryPolicy::kTargetHistory && actual_taken) ||
-                pol != HistoryPolicy::kTargetHistory;
-            entry.divergeOffset = offset;
-            pending_ = p;
-        }
+    // Oracle accounting. Wrong-path PFC: the pending divergence (whose
+    // instruction is older and already delivered) remains in force.
+    if (!entry.onCorrectPath || offset > entry.divergeOffset)
+        return;
+    const InstSeq j = entry.traceIdx + (offset - entry.startOffset());
+    const DynInst &d = trace_.insts[j];
+    if (pending_.has_value() && !pending_->delivered)
+        pending_.reset();
+    if (d.taken != 0 && d.info == target) {
+        ++stats_.pfcCorrect;
+        onCorrectPath_ = true;
+        tracePos_ = j + 1;
+        // The PFC branch itself resolved early: clear any stale
+        // divergence bookkeeping on this entry.
+        if (entry.divergeOffset == offset)
+            entry.divergeOffset = 255;
+    } else {
+        // The PFC mis-steered a branch whose fall-through (or a
+        // different target) was correct: execute-time resolution.
+        ++stats_.pfcWrong;
+        recordDivergence(entry, offset, j, kCausePfcMisfire);
     }
-    // Wrong-path PFC: the redirect happened above; the pending
-    // divergence (whose instruction is older and already delivered)
-    // remains in force.
-
-    // Record the PFC action as this entry's terminal event so later
-    // repairs replay it correctly.
-    BlockEvent ev;
-    ev.pc = pc;
-    ev.target = target;
-    ev.offset = offset;
-    ev.kind = si.cls;
-    ev.taken = true;
-    ev.pushedHistory = true;
-    // Drop any recorded events at or beyond the truncation point.
-    while (entry.numEvents > 0 &&
-           entry.events[entry.numEvents - 1].offset >= offset) {
-        --entry.numEvents;
-    }
-    entry.events[entry.numEvents++] = ev;
 }
 
 FDIP_HOT_PATH void
@@ -905,8 +819,8 @@ Frontend::triggerGhrFixup(FtqEntry &entry, std::uint8_t offset, Cycle now)
                              {{"pc", pc}, {"hint", hint ? 1u : 0u}}));
 
     // Restore to the prefix, add the missing branch's direction bit.
-    rewindToPrefix(entry, offset);
-    pushHistoryEvent(pc, si.target, hint);
+    rewind(entry, offset);
+    applyBelief(entry, BlockEvent{pc, si.target, offset, si.cls, hint, true});
 
     // Under all-branch allocation (GHR3 / basic-block-style BTBs), the
     // pre-decoder installs the newly discovered branch into the BTB.
@@ -917,37 +831,19 @@ Frontend::triggerGhrFixup(FtqEntry &entry, std::uint8_t offset, Cycle now)
     // the corrected history.
     entry.termOffset = offset;
     entry.predictedTaken = false;
-    while (entry.numEvents > 0 &&
-           entry.events[entry.numEvents - 1].offset > offset) {
-        --entry.numEvents;
-    }
-    BlockEvent ev;
-    ev.pc = pc;
-    ev.target = si.target;
-    ev.offset = offset;
-    ev.kind = si.cls;
-    ev.taken = hint;
-    ev.pushedHistory = true;
-    entry.events[entry.numEvents++] = ev;
-
     ftq_.truncateAfter(1);
-    predPc_ = pc + kInstBytes;
-    predStallUntil_ = now + 1;
-    redirectShadowUntil_ = now + cfg_.btbLatency + 1;
+    redirect(pc + kInstBytes, now);
 
     // Resume the correct path only when this instruction is strictly
     // before any divergence: a fixup branch *at* the divergence offset
     // is a BTB-miss branch that is actually taken — the sequential
     // resume stays wrong-path and the pending execute-time resolution
     // must remain in force.
-    const bool inst_correct =
-        entry.onCorrectPath && offset < entry.divergeOffset;
-    if (inst_correct) {
-        const InstSeq j = entry.traceIdx + (offset - entry.startOffset());
+    if (entry.onCorrectPath && offset < entry.divergeOffset) {
         if (pending_.has_value() && !pending_->delivered)
             pending_.reset();
         onCorrectPath_ = true;
-        tracePos_ = j + 1;
+        tracePos_ = entry.traceIdx + (offset - entry.startOffset()) + 1;
     }
 }
 
@@ -960,9 +856,7 @@ Frontend::onResolve(std::uint64_t token, std::uint64_t seq, Cycle now)
 {
     if (!pending_.has_value() || pending_->token != token)
         return; // Stale: the divergence was repaired earlier (PFC).
-
-    const PendingDivergence p = *pending_;
-    pending_.reset();
+    const PendingDivergence &p = *pending_;
 
     ++stats_.mispredicts;
     switch (p.cause) {
@@ -986,18 +880,12 @@ Frontend::onResolve(std::uint64_t token, std::uint64_t seq, Cycle now)
     ftq_.clear();
 
     // Rebuild the speculative state: block snapshot, event prefix,
-    // then the corrected outcome of the diverging branch.
-    bpu_.history().restore(p.blockHistSnap);
-    bpu_.ras().restore(p.blockRasSnap);
-    for (unsigned i = 0; i < p.numPrefix; ++i)
-        replayEvent(p.prefix[i]);
-    replayEvent(p.corrected);
-
-    predPc_ = p.correctNext;
+    // then the actual outcome of the diverging branch.
+    rewind(p.checkpoint, kInstsPerBlock);
+    redirect(p.correctNext, now);
     tracePos_ = p.traceIdx + 1;
     onCorrectPath_ = true;
-    predStallUntil_ = now + 1;
-    redirectShadowUntil_ = now + cfg_.btbLatency + 1;
+    pending_.reset();
 }
 
 // ---------------------------------------------------------------------

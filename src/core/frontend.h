@@ -106,11 +106,13 @@ class Frontend
     /// @}
 
     /// @{ Prediction helpers.
-    ScanResult scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now);
-    /** Records a prediction-time divergence at trace position
-     *  tracePos_; computes the post-correction repair snapshots. */
-    void recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
-                          const StaticInst &si, std::uint8_t cause);
+    ScanResult scanInst(FtqEntry &entry, std::uint8_t offset);
+    /** Records a divergence at @p entry's instruction @p offset (trace
+     *  position @p trace_idx), to be repaired when it executes: the
+     *  block's checkpoint up to the instruction plus its actual
+     *  outcome. */
+    void recordDivergence(FtqEntry &entry, std::uint8_t offset,
+                          InstSeq trace_idx, std::uint8_t cause);
     /// @}
 
     /// @{ Fetch helpers.
@@ -124,22 +126,23 @@ class Frontend
     /// @}
 
     /// @{ Repair machinery.
-    /** Restores speculative history + RAS to just before the
-     *  instruction at @p offset of @p entry (snapshot + replay). */
-    void rewindToPrefix(const FtqEntry &entry, std::uint8_t offset);
+    /** Restores speculative history + RAS to @p cp's snapshots and
+     *  replays its events at offsets before @p before. */
+    void rewind(const BlockCheckpoint &cp, std::uint8_t before);
     /** Replays one recorded block event onto the speculative state. */
     void replayEvent(const BlockEvent &ev);
-    /** Pushes one (possibly corrected) branch event onto the
-     *  speculative history per the active policy. */
-    void pushHistoryEvent(Addr pc, Addr target, bool taken);
+    /** Records the pre-decoder's belief @p ev as @p entry's last event
+     *  and applies it, after rewind() to just before its instruction. */
+    void applyBelief(FtqEntry &entry, const BlockEvent &ev);
+    /** Restarts prediction at @p pc after a one-cycle bubble. */
+    void redirect(Addr pc, Cycle now);
     /// @}
 
     /**
      * An execute-time divergence resolution record. Repair state is
-     * rebuilt lazily at resolution: restore the owning block's
-     * snapshots, replay the recorded event prefix, then apply the
-     * corrected event. (Eager snapshots would go stale: the wrong path
-     * overwrites ring bits behind them.)
+     * rebuilt lazily at resolution by rewinding through the checkpoint.
+     * (Eager snapshots would go stale: the wrong path overwrites ring
+     * bits behind them.)
      */
     struct PendingDivergence
     {
@@ -147,12 +150,10 @@ class Frontend
         InstSeq traceIdx = 0;
         Addr correctNext = kNoAddr;
         std::uint8_t cause = 0;
-        HistorySnapshot blockHistSnap;
-        RasSnapshot blockRasSnap;
-        std::array<BlockEvent, kInstsPerBlock> prefix{};
-        std::uint8_t numPrefix = 0;
-        BlockEvent corrected; ///< The diverging branch's actual outcome.
         bool delivered = false; ///< Instruction handed to the backend.
+        /** The owning block's checkpoint; its last event is the
+         *  diverging instruction's actual outcome. */
+        BlockCheckpoint checkpoint;
     };
 
     /** Mispredict cause buckets. */

@@ -105,7 +105,7 @@ TEST(Ftq, OpenTailReusesSlotWithFreshBlockState)
     EXPECT_EQ(e.termOffset, fresh.termOffset);
     EXPECT_EQ(e.state, fresh.state);
     EXPECT_EQ(e.dirHints, fresh.dirHints);
-    EXPECT_EQ(e.numEvents, fresh.numEvents);
+    EXPECT_EQ(e.numEvents, 0u);
     EXPECT_EQ(e.detectedMask, fresh.detectedMask);
     EXPECT_EQ(e.seq, fresh.seq);
     EXPECT_EQ(e.divergeOffset, fresh.divergeOffset);
