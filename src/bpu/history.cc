@@ -189,7 +189,6 @@ BranchHistory::pushEvent(unsigned bits)
 FDIP_HOT_PATH void
 BranchHistory::pushBranch(Addr pc, Addr target, bool taken)
 {
-    ++numEvents_;
     if (policy_ == HistoryPolicy::kTargetHistory) {
         if (!taken)
             return; // Taken-only target history ignores not-taken.
