@@ -185,8 +185,12 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
     // ---- Pass 1: slurp the records.
     std::vector<ChampSimRecord> recs;
     ChampSimRecord rec;
-    while ((max_insts == 0 || recs.size() < max_insts) &&
-           std::fread(&rec, sizeof(rec), 1, f.get()) == 1) {
+    while (max_insts == 0 || recs.size() < max_insts) {
+        const std::size_t n = std::fread(&rec, 1, sizeof(rec), f.get());
+        if (n == 0)
+            break;
+        if (n != sizeof(rec))
+            return false; // Trailing partial record.
         recs.push_back(rec);
     }
     if (recs.empty())

@@ -53,6 +53,17 @@ readTraceFile(const std::string &path, std::vector<DynInst> &insts)
     FileHeader h{};
     if (std::fread(&h, sizeof(h), 1, f.get()) != 1 || h.magic != kMagic)
         return false;
+    // The body must hold exactly h.count records. Checking the size
+    // first keeps a corrupt count from sizing the allocation.
+    const long body_start = std::ftell(f.get());
+    if (body_start < 0 || std::fseek(f.get(), 0, SEEK_END) != 0)
+        return false;
+    const long end = std::ftell(f.get());
+    if (end < body_start || std::fseek(f.get(), body_start, SEEK_SET) != 0)
+        return false;
+    const auto body = static_cast<std::uint64_t>(end - body_start);
+    if (body % sizeof(DynInst) != 0 || body / sizeof(DynInst) != h.count)
+        return false;
     insts.resize(h.count);
     if (h.count != 0 &&
         std::fread(insts.data(), sizeof(DynInst), h.count, f.get()) !=

@@ -20,7 +20,8 @@ bool writeTraceFile(const std::string &path,
                     const std::vector<DynInst> &insts);
 
 /** Reads a trace written by writeTraceFile. Returns false on failure
- *  or format mismatch. */
+ *  or format mismatch, including a body that is not exactly the
+ *  header's record count. */
 bool readTraceFile(const std::string &path, std::vector<DynInst> &insts);
 
 } // namespace fdip

@@ -148,6 +148,23 @@ TEST(ChampSim, ImportRejectsMissingOrEmpty)
     std::remove(path.c_str());
 }
 
+TEST(ChampSim, ImportRejectsTrailingPartialRecord)
+{
+    const Trace original = synthTrace(100);
+    const std::string path = tempPath("partial.champsim");
+    ASSERT_TRUE(writeChampSimTrace(path, original));
+    std::FILE *f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char extra[36] = {};
+    ASSERT_EQ(std::fwrite(extra, 1, sizeof(extra), f), sizeof(extra));
+    std::fclose(f);
+    Trace imported;
+    EXPECT_FALSE(readChampSimTrace(path, 0, imported));
+    // A record cap that stops before the partial record still imports.
+    EXPECT_TRUE(readChampSimTrace(path, 50, imported));
+    std::remove(path.c_str());
+}
+
 TEST(ChampSim, MemoryAddressesSurviveRoundTrip)
 {
     const Trace original = synthTrace(20000);

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -80,6 +81,37 @@ TEST(TraceIo, RejectsTruncatedBody)
     ASSERT_TRUE(writeTraceFile(path, in));
     // Truncate the file body.
     ASSERT_EQ(truncate(path.c_str(), 16 + 50 * sizeof(DynInst)), 0);
+    std::vector<DynInst> out;
+    EXPECT_FALSE(readTraceFile(path, out));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsHugeCountWithoutAllocating)
+{
+    // A bare header claiming 2^62 records must fail cleanly, not throw
+    // std::length_error from sizing the vector.
+    const std::string path = tempPath("huge.fdiptrace");
+    ASSERT_TRUE(writeTraceFile(path, {}));
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const std::uint64_t count = std::uint64_t{1} << 62;
+    ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+    std::fclose(f);
+    std::vector<DynInst> out;
+    EXPECT_FALSE(readTraceFile(path, out));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsTrailingBytes)
+{
+    const std::string path = tempPath("trailing.fdiptrace");
+    ASSERT_TRUE(writeTraceFile(path, std::vector<DynInst>(10)));
+    std::FILE *f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char extra[5] = {1, 2, 3, 4, 5};
+    ASSERT_EQ(std::fwrite(extra, 1, sizeof(extra), f), sizeof(extra));
+    std::fclose(f);
     std::vector<DynInst> out;
     EXPECT_FALSE(readTraceFile(path, out));
     std::remove(path.c_str());
