@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Semantic hot-path verifier: whole-call-graph closure analysis.
+"""Hot-path lint: the tick loop must not allocate, throw, or block.
 
-check_hotpath.py enforces the tick-loop discipline *inside* annotated
-bodies with regexes; a FDIP_HOT_PATH function calling an unannotated
-helper that allocates, throws, locks, or dispatches virtually escapes
-it entirely. This lint closes that hole: it indexes the C++ sources,
-builds the static call graph rooted at every FDIP_HOT_PATH definition
-and FDIP_HOT_REGION span, computes the transitive closure, and
-reports
+The tick-loop discipline holds for annotated bodies and for every
+helper they call. This lint indexes the C++ sources, builds the static
+call graph rooted at every FDIP_HOT_PATH definition and
+FDIP_HOT_REGION span, computes the transitive closure, and reports
 
   - reachable functions whose definition lacks FDIP_HOT_PATH,
-  - banned operations (check_hotpath's exact rules) anywhere in the
-    closure,
+  - banned operations (hotgraph.analysis.BAN_RULES: allocation,
+    std::string, std::function, throw, iostream/printf, locks)
+    anywhere in the closure,
   - virtual call sites whose static receiver type is not sealed
-    (devirtualization holes), and
-  - module-layering back-edges over the include graph.
+    (devirtualization holes),
+  - module-layering back-edges over the include graph, and
+  - annotation structure: FDIP_HOT_PATH on a bare declaration,
+    unpaired or mismatched FDIP_HOT_REGION markers.
 
 Two interchangeable frontends produce the same neutral index:
 

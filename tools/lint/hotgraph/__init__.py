@@ -1,16 +1,14 @@
 """Semantic hot-path verifier: whole-call-graph closure analysis.
 
-check_hotpath.py enforces the tick-loop discipline *inside* annotated
-bodies; this package closes the loop *across calls*. It indexes the
-C++ sources (via libclang when available, via a built-in structural
+The one engine for the tick-loop discipline. It indexes the C++
+sources (via libclang when available, via a built-in structural
 indexer otherwise), constructs the static call graph rooted at every
 FDIP_HOT_PATH definition and FDIP_HOT_REGION span, computes the
 transitive closure, and reports:
 
   1. reachable repo functions whose definition lacks FDIP_HOT_PATH,
   2. allocation/throw/lock/std::function/iostream sites anywhere in
-     the closure (the same contract check_hotpath enforces, now
-     enforced through callees),
+     the closure (analysis.BAN_RULES),
   3. virtual call sites whose static receiver type is not final
      (devirtualization holes), and
   4. module-layering back-edges over the include graph

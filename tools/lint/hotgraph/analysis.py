@@ -5,9 +5,9 @@ four properties:
 
   1. every function reachable from a FDIP_HOT_PATH root (or a
      FDIP_HOT_REGION span) is itself annotated FDIP_HOT_PATH,
-  2. no function in the closure contains a banned operation (the
-     exact BAN_RULES check_hotpath.py applies to annotated bodies,
-     now applied through callees),
+  2. no function in the closure contains a banned operation
+     (BAN_RULES: allocation, std::string, std::function, throw,
+     iostream/printf, locks),
   3. no call in the closure can dispatch virtually unless the
      receiver's static type or the method is `final` (or the site is
      an allowlisted designed dispatch point),
@@ -26,10 +26,8 @@ are *supposed* to format strings and throw.
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import (ALLOWLIST, INCLUDE_EXCEPTIONS, MODULE_RANK,
                     RULE_BANNED_OP, RULE_LAYERING, RULE_STALE_ALLOW,
@@ -38,20 +36,43 @@ from .model import (ALLOWLIST, INCLUDE_EXCEPTIONS, MODULE_RANK,
                     FunctionInfo, IncludeException, ProgramIndex,
                     module_of)
 
-# The banned-operation rules are check_hotpath.py's, imported so the
-# two enforcement layers can never drift apart.
-_LINT_DIR = str(Path(__file__).resolve().parents[1])
-if _LINT_DIR not in sys.path:
-    sys.path.insert(0, _LINT_DIR)
-from check_hotpath import BAN_RULES  # noqa: E402
-
-#: Short allowlist keys for BAN_RULES, index-aligned. A banned-op
-#: finding's symbol is "<function qname>/<key>" so an exception names
-#: both the function and the specific ban it excuses.
-BAN_KEYS = ("new", "make-smart", "container-grow", "string",
-            "std-function", "throw", "io", "lock")
-assert len(BAN_KEYS) == len(BAN_RULES), \
-    "BAN_KEYS must stay index-aligned with check_hotpath.BAN_RULES"
+#: The hot-path bans: (allowlist key, pattern, message), applied to
+#: stripped code in every body of the closure. A banned-op finding's
+#: symbol is "<function qname>/<key>" so an exception names both the
+#: function and the specific ban it excuses. The repo's fixed-capacity
+#: types (FixedVector, FlatMap, CircularQueue) use camelCase mutators
+#: so steady-state mutation does not collide with the container rule.
+BAN_RULES: list[tuple[str, re.Pattern[str], str]] = [
+    ("new", re.compile(r"\bnew\b"),
+     "heap allocation (`new`) is banned on the hot path"),
+    ("make-smart", re.compile(r"\bmake_(?:unique|shared)\s*<"),
+     "heap allocation (make_unique/make_shared) is banned on the "
+     "hot path"),
+    ("container-grow",
+     re.compile(r"(?:\.|->)(?:push_back|emplace_back|emplace_front|"
+                r"emplace|push_front|insert|resize|reserve|assign)"
+                r"\s*\("),
+     "growing std-container call is banned on the hot path; use the "
+     "fixed-capacity types (FixedVector/FlatMap/CircularQueue)"),
+    ("string", re.compile(r"\bstd::(?:string|to_string|[io]?stringstream)\b"),
+     "std::string construction is banned on the hot path"),
+    ("std-function", re.compile(r"\bstd::function\b"),
+     "std::function is banned on the hot path; bind callables at "
+     "setup time"),
+    ("throw", re.compile(r"\bthrow\b"),
+     "`throw` is banned on the hot path; report via FDIP_CHECK or "
+     "fdip_panic"),
+    ("io",
+     re.compile(r"\bstd::(?:cout|cerr|clog|format)\b|"
+                r"(?<![\w:])(?:printf|fprintf|sprintf|snprintf|puts|"
+                r"fputs)\s*\("),
+     "iostream/printf formatting is banned on the hot path"),
+    ("lock",
+     re.compile(r"\bstd::(?:mutex|lock_guard|unique_lock|scoped_lock|"
+                r"condition_variable)\b|(?:\.|->)lock\s*\("),
+     "lock acquisition is banned on the hot path (the tick loop is "
+     "single-threaded)"),
+]
 
 #: Modules at or above this rank are the harness (tools, bench,
 #: tests, examples): they sit at the top of the DAG and may include
@@ -430,7 +451,7 @@ class Analysis:
     def _scan_banned(self, text: str, start: int, end: int,
                      file: str, symbol: str,
                      chain: tuple[str, ...]) -> None:
-        for key, (pattern, message) in zip(BAN_KEYS, BAN_RULES):
+        for key, pattern, message in BAN_RULES:
             for m in pattern.finditer(text, start, end):
                 line = text.count("\n", 0, m.start()) + 1
                 self._finding(Finding(

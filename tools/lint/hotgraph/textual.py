@@ -135,14 +135,25 @@ ACCESS_SPECIFIERS = frozenset({"public", "private", "protected"})
 IDENT_RE = re.compile(r"[A-Za-z_]\w*$")
 
 HOT_TOKEN = "FDIP_HOT_PATH"
+HOT_TOKEN_RE = re.compile(r"\bFDIP_HOT_PATH\b")
 REGION_BEGIN_RE = re.compile(r"\bFDIP_HOT_REGION_BEGIN\s*\(\s*(\w+)\s*\)")
 REGION_END_RE = re.compile(r"\bFDIP_HOT_REGION_END\s*\(\s*(\w+)\s*\)")
 
 
 def find_regions(fi: FileIndex) -> None:
-    """Populate @p fi.regions (and pairing problems) from the
-    FDIP_HOT_REGION markers in its stripped text. Shared by both
-    frontends so region spans never depend on the parser in use."""
+    """Populate @p fi.regions from the FDIP_HOT_REGION markers in its
+    stripped text, and @p fi.problems with unpaired markers and with
+    FDIP_HOT_PATH on a bare declaration (whose body would escape every
+    rule). Shared by both frontends so neither depends on the parser
+    in use."""
+    for m in HOT_TOKEN_RE.finditer(fi.text):
+        brace = fi.text.find("{", m.end())
+        semi = fi.text.find(";", m.end())
+        if brace < 0 or 0 <= semi < brace:
+            fi.problems.append(
+                (line_of(fi.text, m.start()),
+                 "FDIP_HOT_PATH annotates a declaration; annotate the "
+                 "definition so its body is checked"))
     marks = sorted(
         [(m.start(), m.end(), "begin", m.group(1))
          for m in REGION_BEGIN_RE.finditer(fi.text)] +
@@ -284,7 +295,7 @@ class TextualFileParser:
     # ---------------- main loop ----------------
 
     def parse(self) -> FileIndex:
-        self._find_regions()
+        find_regions(self.index)
         n = len(self.tokens)
         while self.i < n:
             tok = self.tokens[self.i]
@@ -344,11 +355,6 @@ class TextualFileParser:
             self.decl.append(tok)
             self.i += 1
         return self.index
-
-    # ---------------- regions ----------------
-
-    def _find_regions(self) -> None:
-        find_regions(self.index)
 
     # ---------------- namespaces / enums / classes ----------------
 
@@ -544,8 +550,8 @@ class TextualFileParser:
         """Skips an operator declaration/definition conservatively:
         consumes through the parameter list, then lets the normal
         specifier walk classify body vs declaration. Operator bodies
-        are indexed (so check_hotpath-style bans still apply via the
-        annotation lint) but produce no named call edges."""
+        are indexed (so the hot-path bans still apply to an annotated
+        body) but produce no named call edges."""
         start = self.i
         self.i += 1
         # operator symbol tokens up to the parameter '('; operator()

@@ -10,9 +10,10 @@ when clean, exit 1 with findings on stderr). This module is that
 skeleton, factored out once so a new lint is a consumer of the
 machinery rather than a copy of it.
 
-Consumers: check_sources.py, check_determinism.py,
-check_concurrency.py, check_hotpath.py (and run_lint_tests.py via
-those).
+Consumers: check_sources.py, check_determinism.py and
+check_concurrency.py use all of it; check_hotgraph.py and
+check_statespace.py use the CLI contract (and run_lint_tests.py uses
+each of them).
 """
 
 from __future__ import annotations

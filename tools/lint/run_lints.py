@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Single entry point for the repo's lint suite.
 
-Runs the seven tree lints in one invocation with a combined report:
+Runs the six tree lints in one invocation with a combined report:
 
   sources       check_sources.py      header hygiene + content bans
   determinism   check_determinism.py  wallclock/rand/getenv bans
   concurrency   check_concurrency.py  ambient-state + threading bans
-  hotpath       check_hotpath.py      banned ops inside annotated code
-  hotgraph      check_hotgraph.py     call-graph closure + layering
+  hotgraph      check_hotgraph.py     hot-path bans, closure, layering
   statespace    check_statespace.py   state census + schema/reset/taint
   trace         check_trace.py        only when --trace names a file
 
@@ -15,7 +14,7 @@ Each lint keeps its own CLI (they all speak the shared --root /
 exit-code contract from lintlib.py); this runner execs them as
 subprocesses so one crashing lint cannot take the others down, then
 exits 0 only when every selected lint exited 0. CI's lint job and
-local pre-push hooks call this instead of five separate commands.
+local pre-push hooks call this instead of six separate commands.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from lintlib import REPO  # noqa: E402
 
 #: name -> script + extra-arg builder. Order is cheap-first so a
 #: broken tree fails fast; sources (which compiles every header) last.
-LINTS = ("determinism", "concurrency", "hotpath", "hotgraph",
-         "statespace", "trace", "sources")
+LINTS = ("determinism", "concurrency", "hotgraph", "statespace",
+         "trace", "sources")
 
 
 def lint_argv(name: str, args: argparse.Namespace) -> list[str] | None:
@@ -43,8 +42,6 @@ def lint_argv(name: str, args: argparse.Namespace) -> list[str] | None:
         return [str(HERE / "check_determinism.py"), *root]
     if name == "concurrency":
         return [str(HERE / "check_concurrency.py"), *root]
-    if name == "hotpath":
-        return [str(HERE / "check_hotpath.py"), *root]
     if name == "hotgraph":
         argv = [str(HERE / "check_hotgraph.py"), *root,
                 "--frontend", args.hotgraph_frontend]

@@ -1,6 +1,6 @@
 // Clean hot-path fixture: annotated code that obeys every ban, plus
 // banned-looking constructs OUTSIDE the hot spans that must NOT fire
-// (false-positive regression for check_hotpath).
+// (false-positive regression for the hot-path bans).
 
 #include "util/good.h"
 

@@ -1,5 +1,5 @@
 // Seeded violation: a FDIP_HOT_PATH function calls an *unannotated*
-// helper that allocates. check_hotpath.py alone cannot see this (the
+// helper that allocates. A per-body scan alone cannot see this (the
 // banned operations sit in a body without the annotation); the
 // closure analysis must report the helper as unannotated-reachable
 // AND surface its heap allocation and growing-container calls.

@@ -2,10 +2,10 @@
 """Self-tests for the lint suite (stdlib only, run by ctest + CI).
 
 A lint that silently stops firing is worse than no lint: the tree
-drifts while CI stays green. This suite runs all seven lint scripts
-(check_sources, check_determinism, check_concurrency, check_hotpath,
-check_hotgraph, check_statespace, check_trace) against known-good and
-known-bad fixture trees under tools/lint/tests/fixtures/ and asserts
+drifts while CI stays green. This suite runs all six lint scripts
+(check_sources, check_determinism, check_concurrency, check_hotgraph,
+check_statespace, check_trace) against known-good and known-bad
+fixture trees under tools/lint/tests/fixtures/ and asserts
 both directions:
 
   - the clean tree produces zero findings (false-positive regression),
@@ -35,14 +35,13 @@ TRACES = FIXTURES / "traces"
 sys.path.insert(0, str(LINT_DIR))
 import check_concurrency  # noqa: E402
 import check_determinism  # noqa: E402
-import check_hotpath  # noqa: E402
 import check_sources  # noqa: E402
 import check_trace  # noqa: E402
 from hotgraph import textual as hg_textual  # noqa: E402
 from hotgraph.analysis import Analysis  # noqa: E402
 from hotgraph.model import (AllowEntry, IncludeException,  # noqa: E402
-                            RULE_STALE_ALLOW, RULE_UNANNOTATED,
-                            RULE_VIRTUAL)
+                            RULE_BANNED_OP, RULE_STALE_ALLOW,
+                            RULE_UNANNOTATED, RULE_VIRTUAL)
 from hotgraph.statespace import (StateAudit,  # noqa: E402
                                  RULE_HOST_TAINT)
 
@@ -52,9 +51,10 @@ STATESPACE = FIXTURES / "statespace"
 NO_ALLOW: set[str] = set()
 
 
-def hotgraph_findings(tree: str, allowlist=(), include_exceptions=()):
-    """Rendered hotgraph findings for fixtures/hotgraph/<tree>,
-    with the repo allowlists replaced by the given ones."""
+def hotgraph_findings(tree, allowlist=(), include_exceptions=()):
+    """Rendered hotgraph findings for fixtures/hotgraph/<tree> (or for
+    @p tree itself when it is an absolute path such as DIRTY), with the
+    repo allowlists replaced by the given ones."""
     prog = hg_textual.index_tree(HOTGRAPH / tree)
     analysis = Analysis(prog, allowlist=list(allowlist),
                         include_exceptions=list(include_exceptions))
@@ -114,13 +114,11 @@ class CleanTreeIsClean(LintAssertions):
                 thread_local_allowlist=NO_ALLOW),
             [])
 
-    def test_check_hotpath(self):
+    def test_check_hotgraph(self):
         # good_hotpath.cc keeps banned-looking tokens outside the hot
         # spans (cold reserve/push_back, string-literal mentions); none
         # may fire.
-        self.assertEqual(
-            check_hotpath.collect_findings(CLEAN, hot_allowlist=NO_ALLOW),
-            [])
+        self.assertEqual(hotgraph_findings(CLEAN), [])
 
 
 class DirtyTreeIsCaught(LintAssertions):
@@ -135,14 +133,9 @@ class DirtyTreeIsCaught(LintAssertions):
         cls.concurrency = check_concurrency.collect_findings(
             DIRTY, primitive_allowlist=NO_ALLOW,
             static_allowlist=NO_ALLOW, thread_local_allowlist=NO_ALLOW)
-        cls.hotpath = check_hotpath.collect_findings(
-            DIRTY, hot_allowlist=NO_ALLOW)
+        cls.hotgraph = hotgraph_findings(DIRTY)
 
     # --- check_sources rules -----------------------------------------
-    def test_libc_rand(self):
-        self.assertFinding(self.sources, "src/util/bad_content.cc",
-                           "rand()/srand() is banned", count=2)
-
     def test_raw_new(self):
         self.assertFinding(self.sources, "src/util/bad_content.cc",
                            "raw `new` is banned", count=1)
@@ -231,51 +224,51 @@ class DirtyTreeIsCaught(LintAssertions):
         self.assertFinding(self.concurrency, "src/util/bad_sync.cc",
                            "thread_local is ambient", count=1)
 
-    # --- check_hotpath rules -----------------------------------------
+    # --- hot-path rules (check_hotgraph) -----------------------------
     def test_hot_raw_new(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "heap allocation (`new`)", count=1)
 
     def test_hot_make_unique(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "make_unique/make_shared", count=1)
 
     def test_hot_growing_container(self):
         # One push_back in a hot function, one inside a hot region.
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "growing std-container", count=2)
 
     def test_hot_string(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "std::string construction", count=1)
 
     def test_hot_function_callable(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "std::function is banned", count=1)
 
     def test_hot_throw(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "`throw` is banned", count=1)
 
     def test_hot_printf(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "iostream/printf formatting", count=1)
 
     def test_hot_lock(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "lock acquisition", count=1)
 
     def test_hot_annotated_declaration(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "annotates a declaration", count=1)
 
     def test_hot_region_end_without_begin(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
-                           "without a matching BEGIN", count=1)
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
+                           "without BEGIN", count=1)
 
     def test_hot_region_name_mismatch(self):
         self.assertFinding(
-            self.hotpath, "src/util/bad_hotpath.cc",
+            self.hotgraph, "src/util/bad_hotpath.cc",
             "FDIP_HOT_REGION_END(beta) closes "
             "FDIP_HOT_REGION_BEGIN(alpha)", count=1)
 
@@ -323,20 +316,6 @@ class AllowlistGuards(LintAssertions):
         # clock site; dropping it would fail the repo lint run.
         self.assertIn("src/obs/tick_profiler.cc",
                       check_determinism.WALLCLOCK_ALLOWLIST)
-
-    def test_hotpath_stale_entry(self):
-        findings = check_hotpath.collect_findings(
-            CLEAN, hot_allowlist={"src/util/missing_hot.cc"})
-        self.assertFinding(findings, "src/util/missing_hot.cc",
-                           "allowlisted file does not exist", count=1)
-
-    def test_hotpath_allowlisted_violation_is_silent(self):
-        findings = check_hotpath.collect_findings(
-            DIRTY, hot_allowlist={"src/util/bad_hotpath.cc"})
-        self.assertEqual(
-            [f for f in findings
-             if f.startswith("src/util/bad_hotpath.cc")],
-            [])
 
 
 class HotgraphClosure(LintAssertions):
@@ -425,6 +404,19 @@ class HotgraphClosure(LintAssertions):
         # ...and a *used* entry must not trip the staleness guard.
         self.assertEqual(
             [f for f in findings if RULE_STALE_ALLOW in f], [])
+
+    def test_allowlisted_banned_op_is_silent(self):
+        # An entry names one ban in one function: it silences exactly
+        # that finding and leaves the helper's other ban standing.
+        full = hotgraph_findings("dirty-transitive-alloc")
+        findings = hotgraph_findings(
+            "dirty-transitive-alloc",
+            allowlist=[AllowEntry(RULE_BANNED_OP, "src/util/table.h",
+                                  "fdip::Table::append/new", "fixture")])
+        silenced = set(full) - set(findings)
+        self.assertEqual(len(silenced), 1, "\n".join(findings))
+        self.assertIn("heap allocation (`new`)", silenced.pop())
+        self.assertEqual(set(findings) - set(full), set())
 
     def test_json_report_schema(self):
         prog = hg_textual.index_tree(HOTGRAPH / "dirty-transitive-alloc")
@@ -587,14 +579,6 @@ class CliExitCodes(LintAssertions):
         self.assertEqual(
             self.run_script("check_concurrency.py", "--root", str(DIRTY)),
             1)
-
-    def test_check_hotpath_cli(self):
-        # check_hotpath's default allowlist is empty, so both fixture
-        # trees run under production settings.
-        self.assertEqual(
-            self.run_script("check_hotpath.py", "--root", str(CLEAN)), 0)
-        self.assertEqual(
-            self.run_script("check_hotpath.py", "--root", str(DIRTY)), 1)
 
     def test_check_hotgraph_cli(self):
         # --bare replaces the repo allowlist (whose entries name repo
