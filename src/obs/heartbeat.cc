@@ -1,10 +1,10 @@
 #include "obs/heartbeat.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace fdip
 {
@@ -90,16 +90,14 @@ heartbeatIntervalFromEnv()
         std::getenv("FDIP_HEARTBEAT");
     if (v == nullptr || *v == '\0')
         return 0;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0' || *v == '-' || n == 0) {
+    const auto n = parseDecimal(v);
+    if (!n || *n == 0) {
         fdip_warn("FDIP_HEARTBEAT='%s' is not a positive instruction "
                   "count; heartbeat disabled",
                   v);
         return 0;
     }
-    return n;
+    return *n;
 }
 
 } // namespace fdip

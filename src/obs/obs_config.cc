@@ -1,10 +1,10 @@
 #include "obs/obs_config.h"
 
-#include <cerrno>
 #include <cstdlib>
 
 #include "obs/heartbeat.h"
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace fdip
 {
@@ -22,16 +22,14 @@ profileIntervalFromEnv()
         std::getenv("FDIP_PROFILE");
     if (v == nullptr || *v == '\0')
         return 0;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0' || *v == '-' || n == 0) {
+    const auto n = parseDecimal(v);
+    if (!n || *n == 0) {
         fdip_warn("FDIP_PROFILE='%s' is not a positive tick interval; "
                   "profiling disabled",
                   v);
         return 0;
     }
-    return n;
+    return *n;
 }
 
 /** Makes @p s safe to embed in a filename. */

@@ -1,11 +1,11 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <thread>
 
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace fdip
 {
@@ -20,17 +20,14 @@ jobsFromEnv(unsigned fallback)
     const char *v = std::getenv("FDIP_JOBS"); // NOLINT(concurrency-mt-unsafe)
     if (v == nullptr || *v == '\0')
         return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long n = std::strtoul(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0' || *v == '-' || n == 0 ||
-        n > kMaxJobs) {
+    const auto n = parseDecimal(v);
+    if (!n || *n == 0 || *n > kMaxJobs) {
         fdip_warn("FDIP_JOBS='%s' is not a valid worker count "
                   "(want 1..%u); using %u",
                   v, kMaxJobs, fallback);
         return fallback;
     }
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(*n);
 }
 
 std::size_t

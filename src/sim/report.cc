@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "core/core.h"
 #include "core/cycle_stats.h"
@@ -19,6 +20,15 @@ struct FileCloser
 };
 
 using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
+
+/** Closes @p f; false when any write to it or the close itself failed
+ *  (a full disk often surfaces only at the final flush). */
+bool
+closeChecked(FileHandle f)
+{
+    const bool wrote = std::ferror(f.get()) == 0;
+    return std::fclose(f.release()) == 0 && wrote;
+}
 
 /** Minimal JSON string escaping (labels are simple identifiers). */
 std::string
@@ -105,7 +115,7 @@ writeSuiteResultsJson(const std::string &path,
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f.get(), "  ]\n}\n");
-    return true;
+    return closeChecked(std::move(f));
 }
 
 bool
@@ -150,7 +160,7 @@ writeSuiteResultsCsv(const std::string &path,
                          s.prefetchRedundantRate());
         }
     }
-    return true;
+    return closeChecked(std::move(f));
 }
 
 bool
@@ -173,7 +183,7 @@ writeHeartbeatsJsonl(const std::string &path,
             }
         }
     }
-    return true;
+    return closeChecked(std::move(f));
 }
 
 bool
@@ -215,7 +225,7 @@ writeStatDumpsJson(const std::string &path,
         }
     }
     std::fprintf(f.get(), "\n  ]\n}\n");
-    return true;
+    return closeChecked(std::move(f));
 }
 
 } // namespace fdip

@@ -1,10 +1,10 @@
 #include "trace/suite.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace fdip
 {
@@ -45,16 +45,14 @@ suiteInstsFromEnv(std::size_t default_insts)
         std::getenv("FDIP_SIM_INSTRS");
     if (v == nullptr || *v == '\0')
         return default_insts;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0' || *v == '-' || n <= 1000) {
+    const auto n = parseDecimal(v);
+    if (!n || *n <= 1000) {
         fdip_warn("FDIP_SIM_INSTRS='%s' is not a valid instruction count "
                   "(want a plain integer > 1000); using %zu",
                   v, default_insts);
         return default_insts;
     }
-    return static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(*n);
 }
 
 bool

@@ -166,8 +166,16 @@ TEST(Report, StatDumpsJson)
 
 TEST(Report, FailsOnBadPath)
 {
-    EXPECT_FALSE(writeSuiteResultsJson("/nonexistent/x.json", {}));
-    EXPECT_FALSE(writeSuiteResultsCsv("/nonexistent/x.csv", {}));
+    // One heartbeat, so that every writer has bytes to write.
+    auto results = fakeResults();
+    results[0].runs[0].heartbeats = {HeartbeatSample{}};
+    // /dev/full opens fine, but every write to it fails with ENOSPC.
+    for (const char *path : {"/nonexistent/x", "/dev/full"}) {
+        EXPECT_FALSE(writeSuiteResultsJson(path, results)) << path;
+        EXPECT_FALSE(writeSuiteResultsCsv(path, results)) << path;
+        EXPECT_FALSE(writeHeartbeatsJsonl(path, results)) << path;
+        EXPECT_FALSE(writeStatDumpsJson(path, results)) << path;
+    }
 }
 
 TEST(Report, EscapesQuotes)

@@ -7,10 +7,13 @@
  * Run `fdipsim --help` for the full flag list.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/certify.h"
@@ -21,6 +24,7 @@
 #include "sim/report.h"
 #include "trace/champsim.h"
 #include "util/log.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace
@@ -162,6 +166,21 @@ parseArgs(int argc, char **argv)
             fdip_fatal("flag %s needs a value", argv[i]);
         return argv[++i];
     };
+    // A numeric flag's value: a plain decimal up to @p max, else fatal.
+    auto number = [&](int &i, std::uint64_t max) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *text = need(i);
+        const auto n = parseDecimal(text);
+        if (!n || *n > max) {
+            fdip_fatal("%s wants a decimal number up to %llu, not '%s'",
+                       flag, static_cast<unsigned long long>(max), text);
+        }
+        return *n;
+    };
+    constexpr std::uint64_t kAnyU64 =
+        std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kAnyUnsigned =
+        std::numeric_limits<unsigned>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--help" || a == "-h") {
@@ -175,19 +194,27 @@ parseArgs(int argc, char **argv)
         } else if (a == "--workload") {
             opt.workload = need(i);
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i), nullptr, 10);
+            opt.seed = number(i, kAnyU64);
         } else if (a == "--insts") {
-            opt.insts = std::strtoull(need(i), nullptr, 10);
+            opt.insts = number(i, std::numeric_limits<std::size_t>::max());
         } else if (a == "--warmup-frac") {
-            opt.warmupFrac = std::atof(need(i));
+            const char *text = need(i);
+            const char *end = text + std::strlen(text);
+            double f = -1.0;
+            const auto [stop, ec] = std::from_chars(text, end, f);
+            if (ec != std::errc{} || stop != end || !(f >= 0.0 && f < 1.0))
+                fdip_fatal("--warmup-frac wants a number in [0, 1), not "
+                           "'%s'",
+                           text);
+            opt.warmupFrac = f;
         } else if (a == "--champsim-trace") {
             opt.champsimTrace = need(i);
         } else if (a == "--ftq") {
             opt.cfg.ftqEntries =
-                static_cast<unsigned>(std::atoi(need(i)));
+                static_cast<unsigned>(number(i, kAnyUnsigned));
         } else if (a == "--btb") {
             opt.cfg.bpu.btb.numEntries =
-                static_cast<unsigned>(std::atoi(need(i)));
+                static_cast<unsigned>(number(i, kAnyUnsigned));
         } else if (a == "--scheme") {
             opt.cfg.historyScheme = parseScheme(need(i));
         } else if (a == "--pfc") {
@@ -217,8 +244,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--merge") {
             opt.merge = true;
         } else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            opt.jobs = static_cast<unsigned>(number(i, kMaxJobs));
         } else if (a == "--compare-baseline") {
             opt.compareBaseline = true;
         } else if (a == "--json") {
@@ -226,11 +252,9 @@ parseArgs(int argc, char **argv)
         } else if (a == "--csv") {
             opt.csvPath = need(i);
         } else if (a == "--heartbeat") {
-            opt.cfg.obs.heartbeatInterval =
-                std::strtoull(need(i), nullptr, 10);
+            opt.cfg.obs.heartbeatInterval = number(i, kAnyU64);
         } else if (a == "--profile") {
-            opt.cfg.obs.profileInterval =
-                std::strtoull(need(i), nullptr, 10);
+            opt.cfg.obs.profileInterval = number(i, kAnyU64);
         } else if (a == "--heartbeat-jsonl") {
             opt.heartbeatJsonlPath = need(i);
         } else if (a == "--trace") {
@@ -277,6 +301,30 @@ buildInputs(const Options &opt)
     e.trace = generateTrace(wl, opt.insts);
     suite.push_back(std::move(e));
     return suite;
+}
+
+/**
+ * Writes the reports the output flags name; any failed write is fatal.
+ * Cache-hit campaign runs carry only counters (no heartbeats, no
+ * registry snapshot); writeStatDumpsJson synthesizes the core.* dump
+ * from SimStats, so a fully-cached campaign still yields a complete
+ * per-run stats file.
+ */
+void
+writeReports(const Options &opt, const std::vector<SuiteResult> &results)
+{
+    using Writer = bool (*)(const std::string &,
+                            const std::vector<SuiteResult> &);
+    const std::pair<const std::string &, Writer> reports[] = {
+        {opt.jsonPath, writeSuiteResultsJson},
+        {opt.csvPath, writeSuiteResultsCsv},
+        {opt.heartbeatJsonlPath, writeHeartbeatsJsonl},
+        {opt.dumpStatsPath, writeStatDumpsJson},
+    };
+    for (const auto &[path, write] : reports) {
+        if (!path.empty() && !write(path, results))
+            fdip_fatal("cannot write %s", path.c_str());
+    }
 }
 
 /**
@@ -331,26 +379,7 @@ campaignMain(const Options &opt)
         return 1;
     }
 
-    if (!opt.jsonPath.empty() &&
-        !writeSuiteResultsJson(opt.jsonPath, results)) {
-        fdip_fatal("cannot write %s", opt.jsonPath.c_str());
-    }
-    if (!opt.csvPath.empty() &&
-        !writeSuiteResultsCsv(opt.csvPath, results)) {
-        fdip_fatal("cannot write %s", opt.csvPath.c_str());
-    }
-    // Cache-hit runs carry only counters (no heartbeats, no registry
-    // snapshot); writeStatDumpsJson synthesizes the core.* dump from
-    // SimStats, so a fully-cached campaign still yields a complete
-    // per-run stats file.
-    if (!opt.heartbeatJsonlPath.empty() &&
-        !writeHeartbeatsJsonl(opt.heartbeatJsonlPath, results)) {
-        fdip_fatal("cannot write %s", opt.heartbeatJsonlPath.c_str());
-    }
-    if (!opt.dumpStatsPath.empty() &&
-        !writeStatDumpsJson(opt.dumpStatsPath, results)) {
-        fdip_fatal("cannot write %s", opt.dumpStatsPath.c_str());
-    }
+    writeReports(opt, results);
     return 0;
 }
 
@@ -433,21 +462,6 @@ main(int argc, char **argv)
                     100.0 * (results[0].speedupOver(results[1]) - 1.0));
     }
 
-    if (!opt.jsonPath.empty() &&
-        !writeSuiteResultsJson(opt.jsonPath, results)) {
-        fdip_fatal("cannot write %s", opt.jsonPath.c_str());
-    }
-    if (!opt.csvPath.empty() &&
-        !writeSuiteResultsCsv(opt.csvPath, results)) {
-        fdip_fatal("cannot write %s", opt.csvPath.c_str());
-    }
-    if (!opt.heartbeatJsonlPath.empty() &&
-        !writeHeartbeatsJsonl(opt.heartbeatJsonlPath, results)) {
-        fdip_fatal("cannot write %s", opt.heartbeatJsonlPath.c_str());
-    }
-    if (!opt.dumpStatsPath.empty() &&
-        !writeStatDumpsJson(opt.dumpStatsPath, results)) {
-        fdip_fatal("cannot write %s", opt.dumpStatsPath.c_str());
-    }
+    writeReports(opt, results);
     return 0;
 }
