@@ -10,6 +10,16 @@ namespace fdip
 Btb::Btb(const BtbConfig &cfg)
     : cfg_(cfg)
 {
+    if (cfg_.ways == 0)
+        fdip_fatal("BTB ways must be > 0");
+    if (cfg_.numEntries < cfg_.ways)
+        fdip_fatal("BTB of %u entries is smaller than one %u-way set",
+                   cfg_.numEntries, cfg_.ways);
+    if (cfg_.numEntries > kMaxBtbEntries)
+        fdip_fatal("BTB entries %u exceed the %u-entry cap",
+                   cfg_.numEntries, kMaxBtbEntries);
+    if (cfg_.bytesPerEntry == 0)
+        fdip_fatal("BTB bytesPerEntry must be > 0");
     if (cfg_.numEntries % cfg_.ways != 0)
         fdip_fatal("BTB entries %u not divisible by ways %u",
                    cfg_.numEntries, cfg_.ways);

@@ -40,6 +40,11 @@ struct BtbConfig
     unsigned bytesPerEntry = 7;
 };
 
+/** Largest BTB the model builds: 32x the largest Fig. 11 point (32K
+ *  entries), about 24 MB of host arrays. A fixed bound, not a knob: a
+ *  mistyped size ends in a fatal: line, not an allocation failure. */
+inline constexpr unsigned kMaxBtbEntries = 1u << 20;
+
 /** Branch-kind field width (InstClass has 5 branch kinds). */
 inline constexpr unsigned kBtbKindBits = 3;
 /** Compressed-target field width (paper VI-D: ~7B entries store

@@ -2,6 +2,7 @@
 
 #include "util/bits.h"
 #include "util/hotpath.h"
+#include "util/log.h"
 
 namespace fdip
 {
@@ -9,7 +10,8 @@ namespace fdip
 Ras::Ras(unsigned depth)
     : stack_(depth, kNoAddr)
 {
-    FDIP_REQUIRE(depth > 0, "a RAS needs at least one entry");
+    if (depth == 0)
+        fdip_fatal("RAS depth must be > 0");
 }
 
 FDIP_HOT_PATH void

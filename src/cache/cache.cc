@@ -10,9 +10,16 @@ namespace fdip
 Cache::Cache(const CacheConfig &cfg)
     : cfg_(cfg), rng_(0xcac4e + cfg.sizeBytes)
 {
+    if (cfg_.ways == 0)
+        fdip_fatal("%s: ways must be > 0", cfg_.name.c_str());
     if (!isPowerOf2(cfg_.lineBytes))
         fdip_fatal("%s: line size must be a power of two",
                    cfg_.name.c_str());
+    if (cfg_.sizeBytes < std::uint64_t{cfg_.lineBytes} * cfg_.ways)
+        fdip_fatal("%s: size %llu is smaller than one set (%u ways x %u B)",
+                   cfg_.name.c_str(),
+                   static_cast<unsigned long long>(cfg_.sizeBytes),
+                   cfg_.ways, cfg_.lineBytes);
     const std::uint64_t lines = cfg_.sizeBytes / cfg_.lineBytes;
     if (lines % cfg_.ways != 0)
         fdip_fatal("%s: %llu lines not divisible by %u ways",

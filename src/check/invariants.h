@@ -5,17 +5,14 @@
  * the first violated property and is a no-op in builds with checks
  * compiled out.
  *
- * Two kinds of properties are verified:
- *
- *  - *Legality*: a configuration describes buildable hardware (way
- *    counts divide entry counts, power-of-two set counts, non-zero
- *    bandwidths). These are the machine-checked versions of the
- *    paper's Table III/IV constraints.
- *  - *Conservation*: counters that must agree by construction
- *    (tag accesses = hits + misses, mispredicts = sum of cause
- *    buckets, FTQ occupancy <= capacity). A violated conservation law
- *    means the simulator is silently corrupting the statistics every
- *    figure is derived from.
+ * Only properties the model maintains are checked here: well-formed
+ * FTQ entries and conservation laws, counters that must agree by
+ * construction (tag accesses = hits + misses, mispredicts = sum of
+ * cause buckets, FTQ occupancy <= capacity). A violated conservation
+ * law means the simulator is silently corrupting the statistics every
+ * figure is derived from. Configuration legality is not an invariant:
+ * validateCoreConfig and the structure constructors reject an illegal
+ * configuration with fdip_fatal in every build.
  *
  * Header-only so fdip_core can call these from the frontend hot loop
  * without a dependency on the fdip_check library (which links against
@@ -25,90 +22,14 @@
 #ifndef FDIP_CHECK_INVARIANTS_H_
 #define FDIP_CHECK_INVARIANTS_H_
 
-#include "bpu/btb.h"
-#include "bpu/ras.h"
 #include "cache/cache.h"
-#include "core/core_config.h"
 #include "core/ftq.h"
 #include "core/sim_stats.h"
-#include "util/bits.h"
 #include "util/hotpath.h"
 #include "util/invariant.h"
 
 namespace fdip
 {
-
-/** BTB geometry legality (way count, set count, entry cost). */
-inline void
-checkBtbConfig(const BtbConfig &cfg)
-{
-    InvariantScope scope("checkBtbConfig");
-    FDIP_CHECK(cfg.ways > 0, "BTB must have at least one way");
-    FDIP_CHECK(cfg.numEntries > 0, "BTB must have at least one entry");
-    FDIP_CHECK(cfg.numEntries % cfg.ways == 0,
-               "BTB entries %u not divisible by ways %u", cfg.numEntries,
-               cfg.ways);
-    FDIP_CHECK(isPowerOf2(cfg.numEntries / cfg.ways),
-               "BTB set count %u must be a power of two",
-               cfg.numEntries / cfg.ways);
-    FDIP_CHECK(cfg.ways <= cfg.numEntries,
-               "BTB ways %u exceed entries %u", cfg.ways, cfg.numEntries);
-    FDIP_CHECK(cfg.bytesPerEntry > 0, "BTB entry cost must be non-zero");
-}
-
-/** Cache geometry legality. */
-inline void
-checkCacheConfig(const CacheConfig &cfg)
-{
-    InvariantScope scope("checkCacheConfig");
-    FDIP_CHECK(cfg.ways > 0, "%s: must have at least one way",
-               cfg.name.c_str());
-    FDIP_CHECK(isPowerOf2(cfg.lineBytes),
-               "%s: line size %u must be a power of two", cfg.name.c_str(),
-               cfg.lineBytes);
-    FDIP_CHECK(cfg.sizeBytes >= std::uint64_t{cfg.lineBytes} * cfg.ways,
-               "%s: size %llu smaller than one set (%u ways x %u B lines)",
-               cfg.name.c_str(),
-               static_cast<unsigned long long>(cfg.sizeBytes), cfg.ways,
-               cfg.lineBytes);
-    const std::uint64_t lines = cfg.sizeBytes / cfg.lineBytes;
-    FDIP_CHECK(lines % cfg.ways == 0,
-               "%s: %llu lines not divisible by %u ways", cfg.name.c_str(),
-               static_cast<unsigned long long>(lines), cfg.ways);
-    FDIP_CHECK(isPowerOf2(lines / cfg.ways),
-               "%s: set count %llu must be a power of two",
-               cfg.name.c_str(),
-               static_cast<unsigned long long>(lines / cfg.ways));
-}
-
-/** Whole-core configuration legality (Table IV shape constraints). */
-inline void
-checkCoreConfig(const CoreConfig &cfg)
-{
-    InvariantScope scope("checkCoreConfig");
-    FDIP_CHECK(cfg.ftqEntries >= 2,
-               "FTQ needs >= 2 entries (2 disables FDP), got %u",
-               cfg.ftqEntries);
-    FDIP_CHECK(cfg.predictBandwidth > 0, "predict bandwidth must be > 0");
-    FDIP_CHECK(cfg.maxTakenPerCycle > 0,
-               "at least one taken branch per cycle required");
-    FDIP_CHECK(cfg.fetchBandwidth > 0, "fetch bandwidth must be > 0");
-    FDIP_CHECK(cfg.fetchProbesPerCycle > 0,
-               "at least one FTQ probe per cycle required");
-    FDIP_CHECK(cfg.l1iMshrs > 0, "L1I needs at least one MSHR");
-    FDIP_CHECK(cfg.itlbEntries > 0, "ITLB must have entries");
-    FDIP_CHECK(cfg.decodeQueueEntries > 0, "decode queue must have entries");
-    FDIP_CHECK(cfg.robEntries > 0, "ROB must have entries");
-    FDIP_CHECK(cfg.commitWidth > 0, "commit width must be > 0");
-    FDIP_CHECK(cfg.bpu.rasDepth > 0, "RAS depth must be > 0");
-    FDIP_CHECK(!cfg.usePrefetchBuffer || cfg.prefetchBufferLines > 0,
-               "prefetch buffer enabled with zero lines");
-    checkBtbConfig(cfg.bpu.btb);
-    checkCacheConfig(cfg.l1i);
-    checkCacheConfig(cfg.mem.l1d);
-    checkCacheConfig(cfg.mem.l2);
-    checkCacheConfig(cfg.mem.llc);
-}
 
 /** One FTQ entry's internal consistency. */
 FDIP_HOT_PATH inline void
@@ -162,19 +83,6 @@ checkCacheConservation(const Cache &cache)
                static_cast<unsigned long long>(cache.hits()),
                static_cast<unsigned long long>(cache.misses()),
                static_cast<unsigned long long>(cache.tagAccesses()));
-}
-
-/** RAS structural sanity and snapshot bounds. */
-inline void
-checkRasSnapshot(const RasSnapshot &snap, const Ras &ras)
-{
-    InvariantScope scope("checkRasSnapshot");
-    FDIP_CHECK(snap.topIndex < ras.depth(),
-               "RAS snapshot index %u out of bounds (depth %u)",
-               snap.topIndex, ras.depth());
-    FDIP_CHECK(snap.liveCount <= ras.depth(),
-               "RAS snapshot live count %u exceeds depth %u",
-               snap.liveCount, ras.depth());
 }
 
 /**

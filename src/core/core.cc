@@ -8,7 +8,7 @@ namespace fdip
 
 Core::Core(const CoreConfig &cfg, const Trace &trace,
            std::unique_ptr<InstPrefetcher> prefetcher)
-    : cfg_(cfg),
+    : cfg_(validateCoreConfig(cfg)),
       trace_(trace),
       bpu_(cfg_.bpu),
       mem_(cfg_.mem),

@@ -45,7 +45,9 @@ class Core
 {
   public:
     /**
-     * @param cfg        core configuration (copied).
+     * @param cfg        core configuration (copied); an illegal one is
+     *                   fatal (validateCoreConfig) before anything is
+     *                   built.
      * @param trace      the committed-path trace to run (borrowed; must
      *                   outlive the core).
      * @param prefetcher the L1I prefetcher (owned).

@@ -1,5 +1,6 @@
 #include "core/core_config.h"
 #include "util/hotpath.h"
+#include "util/log.h"
 
 namespace fdip
 {
@@ -54,6 +55,37 @@ CoreConfig::ghrFixup() const
 {
     return historyScheme == HistoryScheme::kGhr2 ||
            historyScheme == HistoryScheme::kGhr3;
+}
+
+const CoreConfig &
+validateCoreConfig(const CoreConfig &cfg)
+{
+    if (cfg.ftqEntries < 2 || cfg.ftqEntries > kMaxFtqEntries)
+        fdip_fatal("ftqEntries %u outside [2, %u] (2 disables FDP)",
+                   cfg.ftqEntries, kMaxFtqEntries);
+    const struct
+    {
+        const char *field;
+        unsigned value;
+    } non_zero[] = {
+        {"predictBandwidth", cfg.predictBandwidth},
+        {"maxTakenPerCycle", cfg.maxTakenPerCycle},
+        {"fetchBandwidth", cfg.fetchBandwidth},
+        {"fetchProbesPerCycle", cfg.fetchProbesPerCycle},
+        {"l1iMshrs", cfg.l1iMshrs},
+        {"itlbEntries", cfg.itlbEntries},
+        {"decodeQueueEntries", cfg.decodeQueueEntries},
+        {"robEntries", cfg.robEntries},
+        {"commitWidth", cfg.commitWidth},
+    };
+    for (const auto &f : non_zero) {
+        if (f.value == 0)
+            fdip_fatal("%s must be > 0", f.field);
+    }
+    if (cfg.usePrefetchBuffer && cfg.prefetchBufferLines == 0)
+        fdip_fatal("prefetchBufferLines must be > 0 with the prefetch "
+                   "buffer enabled");
+    return cfg;
 }
 
 CoreConfig

@@ -110,6 +110,21 @@ struct CoreConfig
     bool ghrFixup() const;
 };
 
+/** Largest FTQ the model builds: 128x the largest Fig. 14 point (32
+ *  entries). A fixed bound, not a knob: a mistyped size ends in a
+ *  fatal: line, not an allocation failure. */
+inline constexpr unsigned kMaxFtqEntries = 4096;
+
+/**
+ * Rejects an illegal core shape with a fatal: line naming the field:
+ * an FTQ outside [2, kMaxFtqEntries], a zero bandwidth, MSHR, ITLB,
+ * decode-queue, ROB or commit-width size, or an enabled prefetch
+ * buffer without lines. Structure geometry (BTB, caches, RAS) is
+ * checked by each structure's constructor. Returns @p cfg, so Core
+ * can validate before it builds any member.
+ */
+const CoreConfig &validateCoreConfig(const CoreConfig &cfg);
+
 /** The paper's baseline FDP configuration (Table IV). */
 CoreConfig paperBaselineConfig();
 

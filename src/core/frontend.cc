@@ -35,8 +35,6 @@ Frontend::Frontend(const CoreConfig &cfg, const Trace &trace, Bpu &bpu,
       linePrefetched_(cfg.l1i.sizeBytes / cfg.l1i.lineBytes +
                       cfg.prefetchBufferLines + cfg.l1iMshrs)
 {
-    if constexpr (kInvariantChecksEnabled)
-        checkCoreConfig(cfg_);
     if (cfg_.usePrefetchBuffer) {
         prefetchBuffer_ = std::make_unique<Cache>(
             prefetchBufferConfig(cfg_.prefetchBufferLines));

@@ -12,6 +12,7 @@
 
 #include "util/invariant.h"
 #include "util/hotpath.h"
+#include "util/log.h"
 
 namespace fdip
 {
@@ -29,8 +30,8 @@ class CircularQueue
     explicit CircularQueue(std::size_t capacity)
         : buf_(capacity), head_(0), size_(0)
     {
-        FDIP_REQUIRE(capacity > 0,
-                     "a zero-capacity queue models no hardware");
+        if (capacity == 0)
+            fdip_fatal("a zero-capacity queue models no hardware");
     }
 
     [[nodiscard]] FDIP_HOT_PATH std::size_t capacity() const noexcept { return buf_.size(); }

@@ -12,6 +12,7 @@
 
 #include "util/hotpath.h"
 #include "util/invariant.h"
+#include "util/log.h"
 
 namespace fdip
 {
@@ -36,8 +37,8 @@ class FixedVector
     explicit FixedVector(std::size_t capacity)
         : capacity_(capacity), data_(std::make_unique<T[]>(capacity))
     {
-        FDIP_REQUIRE(capacity > 0,
-                     "a zero-capacity vector models no hardware");
+        if (capacity == 0)
+            fdip_fatal("a zero-capacity vector models no hardware");
     }
 
     [[nodiscard]] std::size_t capacity() const noexcept

@@ -11,6 +11,9 @@
  *    out entirely in release builds configured with -DFDIP_CHECKS=OFF.
  *    On failure it throws InvariantViolation (so tests can assert that
  *    illegal states are caught; an uncaught violation terminates).
+ *    It guards properties the model maintains, never user input:
+ *    illegal configurations are rejected with fdip_fatal in every
+ *    build (the structure constructors and validateCoreConfig).
  *
  *  - InvariantScope: an RAII marker naming the checking context.
  *    Violation messages carry the full scope path (e.g.
@@ -52,8 +55,8 @@ inline constexpr bool kInvariantChecksEnabled = FDIP_ENABLE_CHECKS != 0;
 
 /**
  * Thrown when an FDIP_CHECK fails. Derives from std::logic_error: a
- * violated invariant is a simulator bug or an illegal configuration,
- * never a recoverable runtime condition.
+ * violated invariant is a simulator bug, never a recoverable runtime
+ * condition.
  */
 class InvariantViolation : public std::logic_error
 {
@@ -145,19 +148,5 @@ class InvariantScope
 #else
 #define FDIP_CHECK(cond, ...) ((void)0)
 #endif
-
-/**
- * Always-on variant for construction-time legality (cheap, cold path):
- * active even when hot-path checks are compiled out, so an illegal
- * structure can never be built silently.
- */
-#define FDIP_REQUIRE(cond, ...)                                               \
-    do {                                                                      \
-        if (!(cond)) {                                                        \
-            ::fdip::check_detail::checkFailed(                                \
-                __FILE__, __LINE__, #cond,                                    \
-                ::fdip::log_detail::format(__VA_ARGS__));                     \
-        }                                                                     \
-    } while (0)
 
 #endif // FDIP_UTIL_INVARIANT_H_

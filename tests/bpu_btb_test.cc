@@ -148,10 +148,36 @@ TEST(Btb, StorageBytesFollowsPaperEstimate)
 
 TEST(Btb, RejectsBadGeometry)
 {
-    BtbConfig cfg;
-    cfg.numEntries = 65;
-    cfg.ways = 4;
-    EXPECT_DEATH({ Btb b(cfg); }, "divisible");
+    struct Case
+    {
+        unsigned numEntries;
+        unsigned ways;
+        unsigned bytesPerEntry;
+        const char *message;
+    };
+    const Case cases[] = {
+        {65, 4, 7, "divisible"},
+        {8192, 5, 7, "divisible"},
+        {8192, 3, 7, "divisible"},
+        {384, 4, 7, "power of two"}, // 96 sets.
+        {8192, 0, 7, "ways must be > 0"},
+        {0, 4, 7, "smaller than one 4-way set"},
+        {2, 4, 7, "smaller than one 4-way set"},
+        {8192, 4, 0, "bytesPerEntry"},
+        {2 * kMaxBtbEntries, 4, 7, "cap"},
+    };
+    for (const Case &c : cases) {
+        BtbConfig cfg;
+        cfg.numEntries = c.numEntries;
+        cfg.ways = c.ways;
+        cfg.bytesPerEntry = c.bytesPerEntry;
+        EXPECT_EXIT({ Btb b(cfg); }, ::testing::ExitedWithCode(1),
+                    c.message)
+            << c.numEntries << " entries, " << c.ways << " ways";
+    }
+    BtbConfig largest;
+    largest.numEntries = kMaxBtbEntries;
+    EXPECT_EQ(Btb(largest).storageBytes(), std::uint64_t{kMaxBtbEntries} * 7);
 }
 
 /** Capacity sweep: a working set within capacity must be fully held. */

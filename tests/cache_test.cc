@@ -116,10 +116,30 @@ TEST(Cache, InvalidateAndReset)
 
 TEST(Cache, RejectsBadGeometry)
 {
-    CacheConfig cfg;
-    cfg.sizeBytes = 1000; // Not divisible into pow2 sets.
-    cfg.ways = 3;
-    EXPECT_DEATH({ Cache c(cfg); }, "");
+    struct Case
+    {
+        std::uint64_t sizeBytes;
+        unsigned ways;
+        unsigned lineBytes;
+        const char *message;
+    };
+    const Case cases[] = {
+        {1000, 3, 64, "set count"}, // 15 lines / 3 ways = 5 sets.
+        {32 * 1024, 8, 48, "line size"},
+        {96 * 1024, 8, 64, "set count"}, // 1536 lines / 8 ways.
+        {32 * 1024, 0, 64, "ways must be > 0"},
+        {256, 8, 64, "smaller than one set"},
+    };
+    for (const Case &c : cases) {
+        CacheConfig cfg;
+        cfg.sizeBytes = c.sizeBytes;
+        cfg.ways = c.ways;
+        cfg.lineBytes = c.lineBytes;
+        EXPECT_EXIT({ Cache cache(cfg); }, ::testing::ExitedWithCode(1),
+                    c.message)
+            << c.sizeBytes << " B, " << c.ways << " ways, " << c.lineBytes
+            << " B lines";
+    }
 }
 
 /** Property: cache contents are always a subset of inserted lines and

@@ -1,16 +1,19 @@
 /** @file Invariant-checker tests: FTQ overflow, RAS underflow/restore
- *  bounds, illegal BTB/cache/core configurations, stats-conservation
- *  violations, scope paths, and the frontend's bounded prefetch
- *  tracking (eviction regression). */
+ *  bounds, stats-conservation violations, scope paths, and the
+ *  frontend's bounded prefetch tracking (eviction regression). The
+ *  configuration-legality death tests live with each structure's own
+ *  tests (Btb, Cache, CoreConfig). */
 
 #include "check/invariants.h"
 
 #include <gtest/gtest.h>
 
+#include "bpu/ras.h"
 #include "core/core.h"
 #include "micro_program.h"
 #include "prefetch/prefetcher.h"
 #include "util/circular_queue.h"
+#include "util/fixed_vector.h"
 
 namespace fdip
 {
@@ -89,9 +92,12 @@ TEST(Invariant, ScopeStackUnwindsAfterThrow)
 
 TEST(Invariant, RequireIsActiveRegardlessOfBuild)
 {
-    // FDIP_REQUIRE guards construction-time legality even in
-    // checks-off builds: an illegal structure can never be built.
-    EXPECT_THROW(CircularQueue<int>(0), InvariantViolation);
+    // Construction-time legality is fatal in every build, checks on or
+    // off: an illegal structure can never be built.
+    EXPECT_EXIT(CircularQueue<int>(0), ::testing::ExitedWithCode(1),
+                "zero-capacity queue");
+    EXPECT_EXIT(FixedVector<int>(0), ::testing::ExitedWithCode(1),
+                "zero-capacity vector");
 }
 
 // ---------------------------------------------------------------------
@@ -202,12 +208,10 @@ TEST(Invariant, RasRestoreBoundsAreChecked)
     RasSnapshot bad_index;
     bad_index.topIndex = 4; // One past the last slot.
     EXPECT_THROW(ras.restore(bad_index), InvariantViolation);
-    EXPECT_THROW(checkRasSnapshot(bad_index, ras), InvariantViolation);
 
     RasSnapshot bad_live;
     bad_live.liveCount = 5; // More live entries than the RAS holds.
     EXPECT_THROW(ras.restore(bad_live), InvariantViolation);
-    EXPECT_THROW(checkRasSnapshot(bad_live, ras), InvariantViolation);
 }
 
 TEST(Invariant, RasSnapshotsTrackLiveCount)
@@ -231,71 +235,7 @@ TEST(Invariant, RasSnapshotsTrackLiveCount)
 
 TEST(Invariant, RasConstructionRequiresDepth)
 {
-    EXPECT_THROW(Ras(0), InvariantViolation);
-}
-
-// ---------------------------------------------------------------------
-// Configuration legality.
-// ---------------------------------------------------------------------
-
-TEST(Invariant, IllegalBtbConfigsAreRejected)
-{
-    REQUIRE_CHECKS_ENABLED();
-    EXPECT_NO_THROW(checkBtbConfig(BtbConfig{}));
-    {
-        BtbConfig cfg; // 8192 entries not divisible by 5 ways.
-        cfg.ways = 5;
-        EXPECT_THROW(checkBtbConfig(cfg), InvariantViolation);
-    }
-    {
-        BtbConfig cfg; // 96 sets: not a power of two.
-        cfg.numEntries = 384;
-        cfg.ways = 4;
-        EXPECT_THROW(checkBtbConfig(cfg), InvariantViolation);
-    }
-    {
-        BtbConfig cfg;
-        cfg.ways = 0;
-        EXPECT_THROW(checkBtbConfig(cfg), InvariantViolation);
-    }
-}
-
-TEST(Invariant, IllegalCacheConfigsAreRejected)
-{
-    REQUIRE_CHECKS_ENABLED();
-    EXPECT_NO_THROW(checkCacheConfig(CacheConfig{}));
-    {
-        CacheConfig cfg;
-        cfg.lineBytes = 48; // Not a power of two.
-        EXPECT_THROW(checkCacheConfig(cfg), InvariantViolation);
-    }
-    {
-        CacheConfig cfg;
-        cfg.sizeBytes = 96 * 1024; // 1536 lines / 8 ways = 192 sets.
-        EXPECT_THROW(checkCacheConfig(cfg), InvariantViolation);
-    }
-}
-
-TEST(Invariant, IllegalCoreConfigsAreRejected)
-{
-    REQUIRE_CHECKS_ENABLED();
-    EXPECT_NO_THROW(checkCoreConfig(paperBaselineConfig()));
-    EXPECT_NO_THROW(checkCoreConfig(noFdpConfig()));
-    {
-        CoreConfig cfg = paperBaselineConfig();
-        cfg.ftqEntries = 1; // Below the 2-entry no-FDP floor.
-        EXPECT_THROW(checkCoreConfig(cfg), InvariantViolation);
-    }
-    {
-        CoreConfig cfg = paperBaselineConfig();
-        cfg.fetchBandwidth = 0;
-        EXPECT_THROW(checkCoreConfig(cfg), InvariantViolation);
-    }
-    {
-        CoreConfig cfg = paperBaselineConfig();
-        cfg.bpu.btb.ways = 3; // Illegal sub-config is reached too.
-        EXPECT_THROW(checkCoreConfig(cfg), InvariantViolation);
-    }
+    EXPECT_EXIT(Ras(0), ::testing::ExitedWithCode(1), "RAS depth");
 }
 
 // ---------------------------------------------------------------------

@@ -88,5 +88,48 @@ TEST(CoreConfig, PredictionBandwidthIsTwiceFetch)
     EXPECT_EQ(cfg.predictBandwidth, 2 * cfg.fetchBandwidth);
 }
 
+TEST(CoreConfig, IllegalConfigsAreFatal)
+{
+    const CoreConfig base = paperBaselineConfig();
+    EXPECT_EQ(&validateCoreConfig(base), &base);
+    (void)validateCoreConfig(noFdpConfig());
+    CoreConfig largest = base;
+    largest.ftqEntries = kMaxFtqEntries;
+    (void)validateCoreConfig(largest);
+
+    struct Case
+    {
+        unsigned CoreConfig::*field;
+        unsigned value;
+        const char *name;
+    };
+    const Case cases[] = {
+        {&CoreConfig::ftqEntries, 0, "ftqEntries"},
+        {&CoreConfig::ftqEntries, 1, "ftqEntries"}, // Below no-FDP's 2.
+        {&CoreConfig::ftqEntries, kMaxFtqEntries + 1, "ftqEntries"},
+        {&CoreConfig::predictBandwidth, 0, "predictBandwidth"},
+        {&CoreConfig::maxTakenPerCycle, 0, "maxTakenPerCycle"},
+        {&CoreConfig::fetchBandwidth, 0, "fetchBandwidth"},
+        {&CoreConfig::fetchProbesPerCycle, 0, "fetchProbesPerCycle"},
+        {&CoreConfig::l1iMshrs, 0, "l1iMshrs"},
+        {&CoreConfig::itlbEntries, 0, "itlbEntries"},
+        {&CoreConfig::decodeQueueEntries, 0, "decodeQueueEntries"},
+        {&CoreConfig::robEntries, 0, "robEntries"},
+        {&CoreConfig::commitWidth, 0, "commitWidth"},
+    };
+    for (const Case &c : cases) {
+        CoreConfig cfg = base;
+        cfg.*c.field = c.value;
+        EXPECT_EXIT((void)validateCoreConfig(cfg),
+                    ::testing::ExitedWithCode(1), c.name)
+            << c.name << " = " << c.value;
+    }
+    CoreConfig no_lines = base;
+    no_lines.usePrefetchBuffer = true;
+    no_lines.prefetchBufferLines = 0;
+    EXPECT_EXIT((void)validateCoreConfig(no_lines),
+                ::testing::ExitedWithCode(1), "prefetchBufferLines");
+}
+
 } // namespace
 } // namespace fdip

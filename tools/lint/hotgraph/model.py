@@ -58,9 +58,6 @@ class IncludeException:
 #: of silently re-ranking the whole module.
 INCLUDE_EXCEPTIONS: list[IncludeException] = [
     IncludeException(
-        "src/check/invariants.h", "bpu",
-        "whole-frontend structural checker reads BTB/RAS state"),
-    IncludeException(
         "src/check/invariants.h", "cache",
         "whole-frontend structural checker reads cache state"),
     IncludeException(
