@@ -46,7 +46,8 @@ main()
         off.pfcEnabled = false;
         CoreConfig on = off;
         on.pfcEnabled = true;
-        const std::string btb = "@" + std::to_string(ref.entries);
+        std::string btb = "@";
+        btb += std::to_string(ref.entries);
         pairs.push_back({c.add("pfc-off" + btb, off, noPrefetcher()),
                          c.add("pfc-on" + btb, on, noPrefetcher())});
     }

@@ -41,7 +41,8 @@ main()
         no_fdp.pfcEnabled = false;
         CoreConfig fdp = paperBaselineConfig();
         fdp.bpu.btb.numEntries = entries;
-        const std::string btb = "@" + std::to_string(entries);
+        std::string btb = "@";
+        btb += std::to_string(entries);
         pairs.push_back({c.add("noFDP" + btb, no_fdp, noPrefetcher()),
                          c.add("FDP" + btb, fdp, noPrefetcher())});
     }

@@ -1,5 +1,7 @@
 #include "cache/cache.h"
 
+#include <algorithm>
+
 #include "util/bits.h"
 #include "util/log.h"
 #include "util/hotpath.h"
@@ -30,136 +32,127 @@ Cache::Cache(const CacheConfig &cfg)
         fdip_fatal("%s: set count %u must be a power of two",
                    cfg_.name.c_str(), numSets_);
     lineShift_ = floorLog2(cfg_.lineBytes);
-    lines_.assign(lines, Line{});
+    tags_.assign(lines, kInvalidTag);
+    lru_.assign(lines, 0);
+    prefetched_.assign(lines, 0);
 }
 
-FDIP_HOT_PATH std::uint32_t
-Cache::setOf(Addr addr) const
+FDIP_HOT_PATH std::size_t
+Cache::rowOf(Addr addr) const
 {
-    return static_cast<std::uint32_t>((addr >> lineShift_) &
-                                      (numSets_ - 1));
+    return static_cast<std::size_t>((addr >> lineShift_) & (numSets_ - 1)) *
+           cfg_.ways;
 }
 
-FDIP_HOT_PATH Cache::Line *
-Cache::findLine(Addr addr)
+FDIP_HOT_PATH unsigned
+Cache::findWay(std::size_t row, Addr tag) const
 {
-    const Addr tag = addr >> lineShift_;
-    Line *row = &lines_[std::size_t{setOf(addr)} * cfg_.ways];
+    const Addr *set = &tags_[row];
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag)
-            return &row[w];
+        if (set[w] == tag)
+            return w;
     }
-    return nullptr;
-}
-
-FDIP_HOT_PATH const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
+    return cfg_.ways;
 }
 
 FDIP_HOT_PATH std::optional<unsigned>
 Cache::probe(Addr addr) FDIP_HOT_NOEXCEPT
 {
     ++tagAccesses_;
-    const Line *l = findLine(addr);
-    if (l == nullptr) {
+    const unsigned w = findWay(rowOf(addr), addr >> lineShift_);
+    if (w == cfg_.ways) {
         ++misses_;
         return std::nullopt;
     }
     ++hits_;
-    const Line *row = &lines_[std::size_t{setOf(addr)} * cfg_.ways];
-    return static_cast<unsigned>(l - row);
+    return w;
 }
 
 FDIP_HOT_PATH std::optional<unsigned>
-Cache::access(Addr addr) FDIP_HOT_NOEXCEPT
+Cache::access(Addr addr, bool *prefetched_out) FDIP_HOT_NOEXCEPT
 {
     ++tagAccesses_;
-    Line *l = findLine(addr);
-    if (l == nullptr) {
+    const std::size_t row = rowOf(addr);
+    const unsigned w = findWay(row, addr >> lineShift_);
+    if (w == cfg_.ways) {
         ++misses_;
+        if (prefetched_out != nullptr)
+            *prefetched_out = false;
         return std::nullopt;
     }
     ++hits_;
-    l->lru = ++lruClock_;
-    Line *row = &lines_[std::size_t{setOf(addr)} * cfg_.ways];
-    return static_cast<unsigned>(l - row);
-}
-
-FDIP_HOT_PATH void
-Cache::touch(Addr addr) FDIP_HOT_NOEXCEPT
-{
-    Line *l = findLine(addr);
-    if (l != nullptr)
-        l->lru = ++lruClock_;
+    const std::size_t i = row + w;
+    lru_[i] = ++lruClock_;
+    if (prefetched_out != nullptr)
+        *prefetched_out = prefetched_[i] != 0;
+    prefetched_[i] = 0;
+    return w;
 }
 
 FDIP_HOT_PATH Addr
-Cache::fill(Addr addr, unsigned *way_out) FDIP_HOT_NOEXCEPT
+Cache::fill(Addr addr, unsigned *way_out, bool prefetch) FDIP_HOT_NOEXCEPT
 {
-    Line *existing = findLine(addr);
-    if (existing != nullptr) {
-        existing->lru = ++lruClock_;
-        if (way_out != nullptr) {
-            Line *row = &lines_[std::size_t{setOf(addr)} * cfg_.ways];
-            *way_out = static_cast<unsigned>(existing - row);
-        }
-        return kNoAddr;
-    }
-
-    Line *row = &lines_[std::size_t{setOf(addr)} * cfg_.ways];
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (!row[w].valid) {
-            victim = &row[w];
+    // One walk finds the hit, else the first empty way, else the LRU
+    // way (the first of equal stamps).
+    const std::size_t row = rowOf(addr);
+    const Addr tag = addr >> lineShift_;
+    const Addr *set = &tags_[row];
+    const std::uint64_t *stamp = &lru_[row];
+    unsigned w = 0;
+    unsigned empty = cfg_.ways;
+    unsigned oldest = 0;
+    for (; w < cfg_.ways; ++w) {
+        if (set[w] == tag)
             break;
-        }
-    }
-    if (victim == nullptr) {
-        if (cfg_.replacement == ReplacementPolicy::kRandom) {
-            victim = &row[rng_.below(cfg_.ways)];
-        } else {
-            victim = &row[0];
-            for (unsigned w = 1; w < cfg_.ways; ++w) {
-                if (row[w].lru < victim->lru)
-                    victim = &row[w];
-            }
+        if (set[w] == kInvalidTag) {
+            if (empty == cfg_.ways)
+                empty = w;
+        } else if (stamp[w] < stamp[oldest]) {
+            oldest = w;
         }
     }
 
     Addr evicted = kNoAddr;
-    if (victim->valid) {
-        ++evictions_;
-        evicted = (victim->tag << lineShift_);
+    if (w == cfg_.ways) {
+        w = empty;
+        if (w == cfg_.ways) {
+            w = cfg_.replacement == ReplacementPolicy::kRandom
+                    ? static_cast<unsigned>(rng_.below(cfg_.ways))
+                    : oldest;
+            ++evictions_;
+            evicted = set[w] << lineShift_;
+        }
+        tags_[row + w] = tag;
     }
-    victim->valid = true;
-    victim->tag = addr >> lineShift_;
-    victim->lru = ++lruClock_;
+    lru_[row + w] = ++lruClock_;
+    prefetched_[row + w] = prefetch;
     if (way_out != nullptr)
-        *way_out = static_cast<unsigned>(victim - row);
+        *way_out = w;
     return evicted;
 }
 
 FDIP_HOT_PATH bool
 Cache::contains(Addr addr) const FDIP_HOT_NOEXCEPT
 {
-    return findLine(addr) != nullptr;
+    return findWay(rowOf(addr), addr >> lineShift_) != cfg_.ways;
 }
 
 FDIP_HOT_PATH void
 Cache::invalidate(Addr addr) FDIP_HOT_NOEXCEPT
 {
-    Line *l = findLine(addr);
-    if (l != nullptr)
-        l->valid = false;
+    const std::size_t row = rowOf(addr);
+    const unsigned w = findWay(row, addr >> lineShift_);
+    if (w != cfg_.ways) {
+        tags_[row + w] = kInvalidTag;
+        prefetched_[row + w] = 0;
+    }
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines_)
-        l.valid = false;
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(prefetched_.begin(), prefetched_.end(), 0);
 }
 
 std::uint64_t

@@ -8,6 +8,7 @@
 #ifndef FDIP_CACHE_CACHE_H_
 #define FDIP_CACHE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -65,21 +66,24 @@ class Cache
     std::optional<unsigned> probe(Addr addr) FDIP_HOT_NOEXCEPT;
 
     /**
-     * Full access: probe plus LRU touch on hit. Counted as a tag
-     * access. Returns the hitting way, if any.
+     * Demand access: probe plus LRU update on hit. Counted as a tag
+     * access. Returns the hitting way, if any. A hit consumes the
+     * line's prefetched mark; @p prefetched_out, when non-null,
+     * receives whether the mark was set (false on a miss).
      */
-    std::optional<unsigned> access(Addr addr) FDIP_HOT_NOEXCEPT;
-
-    /** LRU touch of a known-resident line (no tag access counted). */
-    void touch(Addr addr) FDIP_HOT_NOEXCEPT;
+    std::optional<unsigned> access(Addr addr,
+                                   bool *prefetched_out = nullptr)
+        FDIP_HOT_NOEXCEPT;
 
     /**
      * Fills the line for @p addr, evicting the replacement victim.
-     * Returns the evicted line address (kNoAddr if the way was empty),
-     * and the way filled via @p way_out when non-null.
+     * Returns the evicted line address (kNoAddr if the way was empty
+     * or the line was already resident), and the way filled via
+     * @p way_out when non-null. The line's prefetched mark becomes
+     * @p prefetch, also when the line was already resident.
      */
-    Addr fill(Addr addr,
-              unsigned *way_out = nullptr) FDIP_HOT_NOEXCEPT;
+    Addr fill(Addr addr, unsigned *way_out = nullptr,
+              bool prefetch = false) FDIP_HOT_NOEXCEPT;
 
     /** True if the line is resident (no stats, no LRU update). */
     bool contains(Addr addr) const FDIP_HOT_NOEXCEPT;
@@ -122,23 +126,29 @@ class Cache
     /// @}
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lru = 0;
-    };
+    /** Tag of an empty way: the valid bit folded into the tag. A
+     *  resident line's tag is its address shifted right by the line
+     *  offset, which is never all ones for a 48-bit address. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
-    std::uint32_t setOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** Index of the first way of @p addr's set in the per-line arrays
+     *  (sets x ways, row-major). */
+    std::size_t rowOf(Addr addr) const;
+    /** Way of the set at @p row holding @p tag, or cfg_.ways. */
+    unsigned findWay(std::size_t row, Addr tag) const;
 
     FDIP_STATE_MICRO CacheConfig cfg_;
     FDIP_STATE_MICRO unsigned numSets_;
     FDIP_STATE_MICRO unsigned lineShift_;
-    FDIP_STATE_ARCH(data, tag, valid, lru) std::vector<Line> lines_;
+    /** Per-line tags; kInvalidTag marks an empty way. */
+    FDIP_STATE_ARCH(data, tag, valid) std::vector<Addr> tags_;
+    FDIP_STATE_ARCH(lru) std::vector<std::uint64_t> lru_;
     FDIP_STATE_MICRO std::uint64_t lruClock_ = 0;
     FDIP_STATE_ARCH(victim_lfsr) Rng rng_;
+    /** Per-line "filled by a prefetch, not yet demand-hit" mark, for
+     *  prefetch-usefulness accounting. Observation only: no timing or
+     *  replacement decision reads it, and it is not modeled storage. */
+    FDIP_STATE_MICRO std::vector<std::uint8_t> prefetched_;
 
     FDIP_STATE_MICRO std::uint64_t tagAccesses_ = 0;
     FDIP_STATE_MICRO std::uint64_t hits_ = 0;

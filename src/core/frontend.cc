@@ -28,12 +28,7 @@ Frontend::Frontend(const CoreConfig &cfg, const Trace &trace, Bpu &bpu,
       fills_(cfg.l1iMshrs),
       ftqOccupancy_(cfg.ftqEntries + 1, 1),
       fillLatency_(64, 8),
-      predPc_(trace.workload->entryPc),
-      // Usefulness tracking is bounded by the lines that can carry the
-      // "prefetched" mark: L1I residency + the optional prefetch buffer
-      // + in-flight fills. Preallocate for that bound.
-      linePrefetched_(cfg.l1i.sizeBytes / cfg.l1i.lineBytes +
-                      cfg.prefetchBufferLines + cfg.l1iMshrs)
+      predPc_(trace.workload->entryPc)
 {
     if (cfg_.usePrefetchBuffer) {
         prefetchBuffer_ = std::make_unique<Cache>(
@@ -120,11 +115,6 @@ Frontend::registerStats(StatRegistry &reg, const std::string &prefix) const
     itlb_.registerStats(reg, prefix + ".itlb");
     if (prefetchBuffer_)
         prefetchBuffer_->registerStats(reg, prefix + ".pfb");
-    reg.addCounter(prefix + ".prefetch_tracking_entries",
-                   [this] {
-                       return std::uint64_t{prefetchTrackingEntries()};
-                   },
-                   "lines tracked for usefulness accounting");
 }
 
 FDIP_HOT_PATH void
@@ -142,13 +132,6 @@ Frontend::checkTickInvariants(Cycle now)
     checkFtqIntegrity(ftq_);
     checkCacheConservation(l1i_);
     checkSimStats(stats_);
-}
-
-FDIP_HOT_PATH void
-Frontend::forgetEvicted(Addr evicted_line)
-{
-    if (evicted_line != kNoAddr)
-        linePrefetched_.erase(evicted_line);
 }
 
 // ---------------------------------------------------------------------
@@ -434,15 +417,17 @@ Frontend::processFills(Cycle now)
             ++i;
             continue;
         }
+        // A prefetch no demand probe merged into carries the line's
+        // prefetched mark until a demand hit consumes it.
+        const bool prefetch = f.isPrefetch && !f.demandTouched;
         unsigned way = 0;
-        if (prefetchBuffer_ && f.isPrefetch && !f.demandTouched) {
+        if (prefetchBuffer_ && prefetch) {
             // Original-FDP mode: untouched prefetches land in the
             // side buffer and only enter the L1I on a demand hit.
-            prefetchBuffer_->fill(f.line);
+            prefetchBuffer_->fill(f.line, nullptr, true);
         } else {
-            forgetEvicted(l1i_.fill(f.line, &way));
+            l1i_.fill(f.line, &way, prefetch);
         }
-        linePrefetched_.put(f.line, f.isPrefetch && !f.demandTouched);
 
         // Wake FTQ entries waiting on this line.
         for (std::size_t q = 0; q < ftq_.size(); ++q) {
@@ -502,7 +487,7 @@ Frontend::probeEntry(FtqEntry &entry, std::size_t pos, Cycle now)
     if (cfg_.perfectPrefetch && !cfg_.perfectICache &&
         !l1i_.contains(entry.lineAddr)) {
         mem_.fetchInstLine(entry.lineAddr, now);
-        forgetEvicted(l1i_.fill(entry.lineAddr));
+        l1i_.fill(entry.lineAddr);
     }
 
     // L1I tag probe.
@@ -515,32 +500,27 @@ Frontend::probeEntry(FtqEntry &entry, std::size_t pos, Cycle now)
         return;
     }
 
-    const auto way = l1i_.probe(entry.lineAddr);
+    // A demand hit consumes the line's prefetched mark: the prefetch
+    // that brought the line in was useful.
+    bool was_pf = false;
+    auto way = l1i_.access(entry.lineAddr, &was_pf);
     prefetcher_.onDemandLookup(entry.lineAddr, way.has_value(), now);
-    if (way.has_value()) {
-        if (bool *was_pf = linePrefetched_.find(entry.lineAddr);
-            was_pf != nullptr && *was_pf) {
-            ++stats_.prefetchesUseful;
-            *was_pf = false;
-        }
-        l1i_.touch(entry.lineAddr);
-        entry.state = FtqState::kReady;
-        entry.icacheWay = static_cast<std::uint8_t>(*way);
-        entry.deliverableAt = now + cfg_.l1iHitLatency;
-        return;
+
+    // Prefetch-buffer probe (parallel with the L1I tags); a hit moves
+    // the line into the L1I.
+    if (!way.has_value() && prefetchBuffer_ &&
+        prefetchBuffer_->access(entry.lineAddr, &was_pf)) {
+        prefetchBuffer_->invalidate(entry.lineAddr);
+        unsigned filled = 0;
+        l1i_.fill(entry.lineAddr, &filled);
+        way = filled;
     }
 
-    // Prefetch-buffer probe (parallel with the L1I tags).
-    if (prefetchBuffer_ && prefetchBuffer_->access(entry.lineAddr)) {
-        prefetchBuffer_->invalidate(entry.lineAddr);
-        forgetEvicted(l1i_.fill(entry.lineAddr));
-        if (bool *was_pf = linePrefetched_.find(entry.lineAddr);
-            was_pf != nullptr && *was_pf) {
+    if (way.has_value()) {
+        if (was_pf)
             ++stats_.prefetchesUseful;
-            *was_pf = false;
-        }
         entry.state = FtqState::kReady;
-        entry.icacheWay = 0;
+        entry.icacheWay = static_cast<std::uint8_t>(*way);
         entry.deliverableAt = now + cfg_.l1iHitLatency;
         return;
     }

@@ -35,7 +35,6 @@
 #include "prefetch/prefetcher.h"
 #include "trace/trace_gen.h"
 #include "util/fixed_vector.h"
-#include "util/flat_map.h"
 #include "util/hotpath.h"
 #include "util/state.h"
 #include "util/types.h"
@@ -64,14 +63,6 @@ class Frontend
 
     const Ftq &ftq() const { return ftq_; }
     Cache &l1i() { return l1i_; }
-
-    /** Lines tracked for prefetch-usefulness accounting. Stays bounded
-     *  by the L1I/prefetch-buffer capacity (regression guard: entries
-     *  are dropped on eviction). */
-    std::size_t prefetchTrackingEntries() const
-    {
-        return linePrefetched_.size();
-    }
 
     /** Attaches (or detaches, nullptr) the run's trace sink. */
     void attachTrace(TraceWriter *w) { tracer_.attach(w); }
@@ -226,15 +217,6 @@ class Frontend
     FDIP_STATE_MICRO Cycle itlbStallUntil_ = 0; ///< Head ITLB refill wait.
     FDIP_STATE_MICRO Cycle redirectShadowUntil_ = 0; ///< Post-redirect window.
     /// @}
-
-    /** Whether the last fill of a line was a prefetch (usefulness).
-     *  Entries are erased when the line leaves the L1I so the map stays
-     *  bounded by the cache's line count; the ctor preallocates for
-     *  that bound so steady-state puts never allocate. */
-    FDIP_STATE_MICRO FlatMap<Addr, bool> linePrefetched_;
-
-    /** Drops usefulness tracking for an evicted line (kNoAddr ok). */
-    void forgetEvicted(Addr evicted_line);
 
     /** Structural invariants verified at the end of every tick();
      *  compiled out when invariant checks are disabled. */

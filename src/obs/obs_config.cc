@@ -70,10 +70,14 @@ tracePathForRun(const ObsConfig &obs, const std::string &workload)
         return obs.tracePath;
 
     std::string infix;
-    if (!obs.traceLabel.empty())
-        infix += "." + sanitizePathPart(obs.traceLabel);
-    if (!workload.empty())
-        infix += "." + sanitizePathPart(workload);
+    if (!obs.traceLabel.empty()) {
+        infix += '.';
+        infix += sanitizePathPart(obs.traceLabel);
+    }
+    if (!workload.empty()) {
+        infix += '.';
+        infix += sanitizePathPart(workload);
+    }
     if (infix.empty())
         return obs.tracePath;
 

@@ -20,12 +20,11 @@ namespace fdip
  * Open-addressing hash map (linear probing, backward-shift deletion)
  * whose slot array is allocated once, at construction, for an expected
  * entry count. std::unordered_map allocates a node per insertion —
- * unacceptable on the per-tick hot path, where the in-flight fill
- * tables and prefetch-tracking table are touched every cycle
- * (docs/ANALYSIS.md §7). FlatMap keeps those maps allocation-free in
- * steady state: `put` only allocates if the live entry count outgrows
- * the construction-time capacity, which the owners size to their
- * structural bounds (MSHR counts, cache line counts).
+ * unacceptable on the per-tick hot path, where the memory hierarchy's
+ * in-flight fill tables are touched every cycle (docs/ANALYSIS.md §7).
+ * FlatMap keeps those maps allocation-free in steady state: `put` only
+ * allocates if the live entry count outgrows the construction-time
+ * capacity the owner chose.
  *
  * Keys must be trivially copyable integers; the hash is a fixed
  * multiplicative mix (deterministic across platforms and runs — map

@@ -146,7 +146,9 @@ class InvariantScope
         }                                                                     \
     } while (0)
 #else
-#define FDIP_CHECK(cond, ...) ((void)0)
+// The condition is named but never evaluated, so a value used only by
+// checks draws no unused-parameter/variable warning.
+#define FDIP_CHECK(cond, ...) ((void)sizeof(!(cond)))
 #endif
 
 #endif // FDIP_UTIL_INVARIANT_H_

@@ -114,6 +114,92 @@ TEST(Cache, InvalidateAndReset)
     EXPECT_FALSE(c.contains(0x2000));
 }
 
+/** Demand-accesses @p addr and returns whether it hit a line carrying
+ *  the prefetched mark. */
+bool
+hitPrefetched(Cache &c, Addr addr)
+{
+    bool prefetched = false;
+    EXPECT_TRUE(c.access(addr, &prefetched).has_value()) << std::hex
+                                                         << addr;
+    return prefetched;
+}
+
+TEST(Cache, PrefetchFillSetsMarkAndHitReportsItOnce)
+{
+    Cache c(tiny());
+    c.fill(0x1000, nullptr, true);
+    c.fill(0x2000);
+    EXPECT_TRUE(hitPrefetched(c, 0x1000));
+    EXPECT_FALSE(hitPrefetched(c, 0x1000)); // Consumed by the first hit.
+    EXPECT_FALSE(hitPrefetched(c, 0x2000)); // Demand fill: never marked.
+}
+
+TEST(Cache, ProbeLeavesMarkForTheDemandHit)
+{
+    Cache c(tiny());
+    c.fill(0x1000, nullptr, true);
+    EXPECT_TRUE(c.probe(0x1000).has_value());
+    EXPECT_TRUE(hitPrefetched(c, 0x1000));
+}
+
+TEST(Cache, MissReportsNoMark)
+{
+    Cache c(tiny());
+    bool prefetched = true;
+    EXPECT_FALSE(c.access(0x1000, &prefetched).has_value());
+    EXPECT_FALSE(prefetched);
+}
+
+TEST(Cache, RefillOfResidentLineOverwritesMark)
+{
+    Cache c(tiny());
+    c.fill(0x1000, nullptr, true);
+    c.fill(0x1000); // Demand refill of a resident line.
+    EXPECT_FALSE(hitPrefetched(c, 0x1000));
+    c.fill(0x1000, nullptr, true); // And a prefetch refill re-marks it.
+    EXPECT_TRUE(hitPrefetched(c, 0x1000));
+}
+
+TEST(Cache, EvictionDropsMark)
+{
+    // 1KB, 2-way: 0x0000, 0x0200 and 0x0400 share a set. The marked
+    // line is evicted unused; its demand refill must not inherit the
+    // mark, and the way it vacated must not hand it to the next line.
+    Cache c(tiny());
+    c.fill(0x0000, nullptr, true);
+    c.fill(0x0200);
+    EXPECT_EQ(c.fill(0x0400), 0x0000u);
+    EXPECT_FALSE(hitPrefetched(c, 0x0400));
+    c.fill(0x0000);
+    EXPECT_FALSE(hitPrefetched(c, 0x0000));
+}
+
+TEST(Cache, FullyAssociativeEvictionDropsMark)
+{
+    // The prefetch buffer's shape: one fully associative set.
+    Cache c(tiny(1, 16));
+    c.fill(0x0000, nullptr, true);
+    for (Addr a = 1; a <= 16; ++a)
+        c.fill(a * kCacheLineBytes);
+    EXPECT_FALSE(c.contains(0x0000));
+    c.fill(0x0000);
+    EXPECT_FALSE(hitPrefetched(c, 0x0000));
+}
+
+TEST(Cache, InvalidateAndResetDropMark)
+{
+    Cache c(tiny());
+    c.fill(0x1000, nullptr, true);
+    c.fill(0x2000, nullptr, true);
+    c.invalidate(0x1000);
+    c.fill(0x1000);
+    EXPECT_FALSE(hitPrefetched(c, 0x1000));
+    c.reset();
+    c.fill(0x2000);
+    EXPECT_FALSE(hitPrefetched(c, 0x2000));
+}
+
 TEST(Cache, RejectsBadGeometry)
 {
     struct Case

@@ -307,31 +307,5 @@ TEST(Invariant, FullRunHoldsTickInvariants)
     EXPECT_NO_THROW(checkSimStatsFinal(s));
 }
 
-TEST(Invariant, PrefetchTrackingStaysBoundedUnderThrash)
-{
-    // Regression: usefulness tracking entries must be dropped when
-    // their line leaves the L1I. A code footprint twice the L1I
-    // (64 KB vs 32 KB) previously grew the map one entry per distinct
-    // line, forever.
-    MicroProgram mp;
-    const Addr top = mp.pcOfNext();
-    for (unsigned i = 0; i < 16383; ++i)
-        mp.alu();
-    mp.jump(top);
-    const Trace t = mp.run(40000); // Two-and-a-half laps.
-
-    CoreConfig cfg = paperBaselineConfig();
-    cfg.applyHistoryScheme();
-    Core core(cfg, t, std::make_unique<NullPrefetcher>());
-    core.run(0);
-
-    const std::size_t l1i_lines =
-        cfg.l1i.sizeBytes / cfg.l1i.lineBytes; // 512
-    // Bounded by resident lines plus in-flight fills — not by the
-    // 1024-line program footprint.
-    EXPECT_LE(core.frontend().prefetchTrackingEntries(),
-              l1i_lines + cfg.l1iMshrs);
-}
-
 } // namespace
 } // namespace fdip

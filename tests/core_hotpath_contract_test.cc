@@ -86,7 +86,6 @@ static_assert(noexcept(lv<Ftq>().push(std::declval<FtqEntry &&>())) ==
 // Cache: every per-cycle tag-array operation.
 static_assert(noexcept(lv<Cache>().probe(0)) == kHotNoexcept);
 static_assert(noexcept(lv<Cache>().access(0)) == kHotNoexcept);
-static_assert(noexcept(lv<Cache>().touch(0)) == kHotNoexcept);
 static_assert(noexcept(lv<Cache>().fill(0, nullptr)) == kHotNoexcept);
 static_assert(noexcept(std::as_const(lv<Cache>()).contains(0)) ==
               kHotNoexcept);
